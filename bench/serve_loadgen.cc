@@ -1,22 +1,23 @@
 // serve_loadgen — closed-loop load benchmark for the serving path.
 //
 // Trains a VBM detector on the standard cora UNOD case, exports it as a
-// model bundle, then for each (threads × max_batch) engine configuration
-// restores the bundle into a fresh ScoringEngine and drives it with
-// concurrent closed-loop clients. Reports client-observed p50/p99/mean
-// latency, throughput, and the batch amortization factor (requests per
-// detector Score() call), alongside the engine-side latency histogram
-// quantiles from vgod::obs.
+// model bundle, then for each client concurrency (1, 2, 4, ... up to
+// --clients) restores the bundle into a fresh ScoringServer and drives it
+// with that many closed-loop keep-alive HTTP clients. Reports
+// client-observed p50/p99/mean latency, throughput, and the detector
+// Score() calls the run cost (one: the engine keeps one score table per
+// snapshot and the graph is static), alongside the engine-side latency
+// histogram quantiles from vgod::obs.
 //
 //   serve_loadgen [--clients=8] [--requests=40] [--json=PATH]
 //                 [--http] [--keep-alive]
 //
-// --http adds a phase that stands up a real ScoringServer on an ephemeral
-// loopback port and drives it over TCP in both connection modes — a fresh
-// connection per request and persistent HTTP/1.1 keep-alive — so the
-// manifest reports connect-bound and steady-state serving side by side.
-// --keep-alive is shorthand that also enables the HTTP phase. The default
-// in-process phase is unchanged (check_bench bands key off it).
+// --http adds a phase that drives one more server in both connection
+// modes — a fresh connection per request and persistent HTTP/1.1
+// keep-alive — so the manifest reports connect-bound and steady-state
+// serving side by side, plus the fanout and churn transport phases.
+// --keep-alive is shorthand that also enables the HTTP phase. The
+// concurrency sweep always runs (check_bench bands key off it).
 //
 // Honors the usual bench env knobs (VGOD_BENCH_SCALE / _SEED /
 // _EPOCH_SCALE); tools/check_serve.py runs this at a reduced scale and
@@ -52,8 +53,7 @@ struct StageQuantiles {
 };
 
 struct ConfigResult {
-  int threads = 0;
-  int max_batch = 0;
+  int clients = 0;
   int64_t requests = 0;
   int64_t score_calls = 0;
   double p50_ms = 0.0;
@@ -65,7 +65,6 @@ struct ConfigResult {
   // Per-stage quantiles from the serve.stage.* histograms — where the
   // engine-side latency actually went for this configuration.
   StageQuantiles queue_wait;
-  StageQuantiles batch_assembly;
   StageQuantiles score;
 };
 
@@ -85,83 +84,6 @@ double PercentileMs(std::vector<double>* sorted_ms, double q) {
   size_t index = static_cast<size_t>(q * static_cast<double>(n));
   if (index >= n) index = n - 1;
   return (*sorted_ms)[index];
-}
-
-ConfigResult RunConfig(const detectors::ModelBundle& bundle,
-                       const UnodCase& unod_case, int threads, int max_batch,
-                       int clients, int requests_per_client) {
-  ConfigResult out;
-  out.threads = threads;
-  out.max_batch = max_batch;
-
-  detectors::DetectorOptions options;
-  options.seed = EnvSeed();
-  Result<std::unique_ptr<detectors::OutlierDetector>> restored =
-      detectors::MakeDetectorFromBundle(bundle, options);
-  VGOD_CHECK(restored.ok()) << restored.status().ToString();
-
-  serve::EngineConfig config;
-  config.num_threads = threads;
-  config.max_batch = max_batch;
-  config.max_delay_us = 500;
-  serve::ScoringEngine engine(std::move(restored.value()), unod_case.graph,
-                              config);
-  VGOD_CHECK(engine.Start().ok());
-
-  obs::MetricsRegistry::Global().ResetAll();
-
-  const int num_nodes = unod_case.graph.num_nodes();
-  std::vector<std::vector<double>> latencies_ms(clients);
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
-  pool.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    pool.emplace_back([&, c]() {
-      std::vector<double>& mine = latencies_ms[c];
-      mine.reserve(requests_per_client);
-      for (int r = 0; r < requests_per_client; ++r) {
-        std::vector<int> nodes = {(c * 131 + r * 17) % num_nodes,
-                                  (c * 131 + r * 17 + 1) % num_nodes,
-                                  (c * 131 + r * 17 + 2) % num_nodes,
-                                  (c * 131 + r * 17 + 3) % num_nodes};
-        const auto t0 = std::chrono::steady_clock::now();
-        Result<serve::ScoreResult> result = engine.ScoreNodes(std::move(nodes));
-        const auto t1 = std::chrono::steady_clock::now();
-        VGOD_CHECK(result.ok()) << result.status().ToString();
-        mine.push_back(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  const double wall_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-
-  obs::Histogram* latency = obs::MetricsRegistry::Global().GetHistogram(
-      "serve.request.latency.seconds", obs::DefaultLatencyBounds());
-  out.engine_p50_ms = obs::HistogramQuantile(*latency, 0.5) * 1e3;
-  out.engine_p99_ms = obs::HistogramQuantile(*latency, 0.99) * 1e3;
-  out.queue_wait = StageFromRegistry("serve.stage.queue_wait.seconds");
-  out.batch_assembly = StageFromRegistry("serve.stage.batch_assembly.seconds");
-  out.score = StageFromRegistry("serve.stage.score.seconds");
-
-  engine.Shutdown();
-
-  std::vector<double> merged;
-  for (const std::vector<double>& per_client : latencies_ms) {
-    merged.insert(merged.end(), per_client.begin(), per_client.end());
-  }
-  out.requests = static_cast<int64_t>(merged.size());
-  out.score_calls = engine.score_calls();
-  double sum = 0.0;
-  for (double v : merged) sum += v;
-  out.mean_ms = merged.empty() ? 0.0 : sum / static_cast<double>(merged.size());
-  out.p99_ms = PercentileMs(&merged, 0.99);
-  out.p50_ms = PercentileMs(&merged, 0.50);
-  out.throughput_rps =
-      wall_s > 0.0 ? static_cast<double>(merged.size()) / wall_s : 0.0;
-  return out;
 }
 
 struct HttpModeResult {
@@ -231,6 +153,47 @@ HttpModeResult RunHttpMode(int port, int num_nodes, bool keep_alive,
   out.p50_ms = PercentileMs(&merged, 0.50);
   out.throughput_rps =
       wall_s > 0.0 ? static_cast<double>(merged.size()) / wall_s : 0.0;
+  return out;
+}
+
+/// One client-concurrency level: a fresh server (engine + HTTP) driven by
+/// `clients` keep-alive connections, so the latency is what a /score
+/// caller pays end to end. In process, a score-table hit takes under a
+/// microsecond and would measure nothing but the lookup.
+ConfigResult RunConfig(const detectors::ModelBundle& bundle,
+                       const UnodCase& unod_case, int clients,
+                       int requests_per_client) {
+  detectors::DetectorOptions options;
+  options.seed = EnvSeed();
+  Result<std::unique_ptr<detectors::OutlierDetector>> restored =
+      detectors::MakeDetectorFromBundle(bundle, options);
+  VGOD_CHECK(restored.ok()) << restored.status().ToString();
+  serve::ScoringServer server(
+      std::make_unique<serve::ScoringEngine>(std::move(restored.value()),
+                                             unod_case.graph),
+      /*port=*/0);
+  VGOD_CHECK(server.Start().ok());
+  obs::MetricsRegistry::Global().ResetAll();
+
+  const HttpModeResult h =
+      RunHttpMode(server.port(), unod_case.graph.num_nodes(),
+                  /*keep_alive=*/true, clients, requests_per_client);
+  VGOD_CHECK(h.errors == 0) << h.errors << " failed requests";
+  ConfigResult out;
+  out.clients = clients;
+  out.requests = h.requests;
+  out.p50_ms = h.p50_ms;
+  out.p99_ms = h.p99_ms;
+  out.mean_ms = h.mean_ms;
+  out.throughput_rps = h.throughput_rps;
+  obs::Histogram* latency = obs::MetricsRegistry::Global().GetHistogram(
+      "serve.request.latency.seconds", obs::DefaultLatencyBounds());
+  out.engine_p50_ms = obs::HistogramQuantile(*latency, 0.5) * 1e3;
+  out.engine_p99_ms = obs::HistogramQuantile(*latency, 0.99) * 1e3;
+  out.queue_wait = StageFromRegistry("serve.stage.queue_wait.seconds");
+  out.score = StageFromRegistry("serve.stage.score.seconds");
+  server.Stop();
+  out.score_calls = server.engine().score_calls();
   return out;
 }
 
@@ -397,10 +360,8 @@ std::string ResultsJson(const UnodCase& unod_case, int clients,
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     if (i > 0) out.push_back(',');
-    out.append("{\"threads\":");
-    obs::AppendJsonNumber(&out, r.threads);
-    out.append(",\"max_batch\":");
-    obs::AppendJsonNumber(&out, r.max_batch);
+    out.append("{\"clients\":");
+    obs::AppendJsonNumber(&out, r.clients);
     out.append(",\"requests\":");
     obs::AppendJsonNumber(&out, static_cast<double>(r.requests));
     out.append(",\"score_calls\":");
@@ -419,10 +380,8 @@ std::string ResultsJson(const UnodCase& unod_case, int clients,
     obs::AppendJsonNumber(&out, r.engine_p99_ms);
     out.append(",\"stages\":{");
     const std::pair<const char*, const StageQuantiles*> stages[] = {
-        {"queue_wait", &r.queue_wait},
-        {"batch_assembly", &r.batch_assembly},
-        {"score", &r.score}};
-    for (size_t s = 0; s < 3; ++s) {
+        {"queue_wait", &r.queue_wait}, {"score", &r.score}};
+    for (size_t s = 0; s < 2; ++s) {
       if (s > 0) out.push_back(',');
       out.push_back('"');
       out.append(stages[s].first);
@@ -514,7 +473,7 @@ int Main(int argc, char** argv) {
 
   PrintBanner("serve_loadgen",
               "serving-path load benchmark: p50/p99 latency + throughput "
-              "across thread x batch configurations");
+              "across client concurrency");
 
   UnodCase unod_case = MakeUnodCase("cora", EnvSeed());
   detectors::DetectorOptions options = OptionsFor(unod_case, EnvSeed());
@@ -528,25 +487,18 @@ int Main(int argc, char** argv) {
   Result<detectors::ModelBundle> bundle = detector.value()->ExportBundle();
   VGOD_CHECK(bundle.ok()) << bundle.status().ToString();
 
-  const int kConfigs[][2] = {{1, 1}, {1, 8}, {4, 1}, {4, 8}};
   std::vector<ConfigResult> results;
-  std::printf("%8s %10s %10s %10s %10s %12s %12s\n", "threads", "max_batch",
-              "p50_ms", "p99_ms", "mean_ms", "rps", "batch_amort");
-  for (const auto& [threads, max_batch] : kConfigs) {
-    ConfigResult r = RunConfig(bundle.value(), unod_case, threads, max_batch,
-                               clients, requests_per_client);
-    const double amortization =
-        r.score_calls > 0
-            ? static_cast<double>(r.requests) /
-                  static_cast<double>(r.score_calls)
-            : 0.0;
-    std::printf("%8d %10d %10.3f %10.3f %10.3f %12.1f %12.2f\n", r.threads,
-                r.max_batch, r.p50_ms, r.p99_ms, r.mean_ms, r.throughput_rps,
-                amortization);
-    std::string tag = "t";
-    tag.append(std::to_string(threads));
-    tag.push_back('b');
-    tag.append(std::to_string(max_batch));
+  std::printf("%8s %10s %10s %10s %12s %12s\n", "clients", "p50_ms",
+              "p99_ms", "mean_ms", "rps", "score_calls");
+  for (int concurrency = 1;;
+       concurrency = std::min(2 * concurrency, clients)) {
+    ConfigResult r =
+        RunConfig(bundle.value(), unod_case, concurrency, requests_per_client);
+    std::printf("%8d %10.3f %10.3f %10.3f %12.1f %12lld\n", r.clients,
+                r.p50_ms, r.p99_ms, r.mean_ms, r.throughput_rps,
+                static_cast<long long>(r.score_calls));
+    std::string tag = "c";
+    tag.append(std::to_string(concurrency));
     RecordManifestResult(unod_case.name, "VBM", tag + ".p50_ms", r.p50_ms);
     RecordManifestResult(unod_case.name, "VBM", tag + ".p99_ms", r.p99_ms);
     RecordManifestResult(unod_case.name, "VBM", tag + ".throughput_rps",
@@ -556,29 +508,25 @@ int Main(int argc, char** argv) {
     RecordManifestResult(unod_case.name, "VBM", tag + ".score_p99_ms",
                          r.score.p99_ms);
     results.push_back(r);
+    if (concurrency == clients) break;
   }
 
   std::vector<HttpModeResult> http_results;
   if (http_phase) {
-    // Stand up the real server (TCP + HTTP parse + dispatch) on the
-    // strongest in-process configuration and measure the transport tax in
-    // both connection modes.
+    // Stand up the real server (TCP + HTTP parse + dispatch) and measure
+    // the transport tax in both connection modes.
     detectors::DetectorOptions restore_options;
     restore_options.seed = EnvSeed();
     Result<std::unique_ptr<detectors::OutlierDetector>> restored =
         detectors::MakeDetectorFromBundle(bundle.value(), restore_options);
     VGOD_CHECK(restored.ok()) << restored.status().ToString();
-    serve::EngineConfig config;
-    config.num_threads = 4;
-    config.max_batch = 8;
-    config.max_delay_us = 500;
     auto engine = std::make_unique<serve::ScoringEngine>(
-        std::move(restored.value()), unod_case.graph, config);
+        std::move(restored.value()), unod_case.graph);
     serve::ScoringServer server(std::move(engine), /*port=*/0);
     VGOD_CHECK(server.Start().ok());
     const int port = server.port();
-    std::printf("\nhttp phase on 127.0.0.1:%d (threads=4 max_batch=8)\n",
-                port);
+    std::printf("\nhttp phase on 127.0.0.1:%d (dispatch_threads=%d)\n",
+                port, serve::TransportOptions().dispatch_threads);
     std::printf("%10s %10s %10s %10s %12s %12s\n", "mode", "p50_ms",
                 "p99_ms", "mean_ms", "rps", "connections");
     const int num_nodes = unod_case.graph.num_nodes();

@@ -144,12 +144,7 @@ MixedResult RunMixedPhase(const UnodCase& unod_case, int ingest_threads,
   Status fitted = detector.value()->Fit(unod_case.graph);
   VGOD_CHECK(fitted.ok()) << fitted.ToString();
 
-  serve::EngineConfig config;
-  config.num_threads = 2;
-  config.max_batch = 8;
-  config.max_delay_us = 500;
-  serve::ScoringEngine engine(std::move(detector.value()), unod_case.graph,
-                              config);
+  serve::ScoringEngine engine(std::move(detector.value()), unod_case.graph);
   serve::StreamingOptions stream_options;
   stream_options.compact_every = std::max(64, batch_size * batches / 4);
   VGOD_CHECK(engine.EnableStreaming(stream_options).ok());
@@ -333,12 +328,7 @@ DriftResult RunDriftPhase(const UnodCase& unod_case, int batches) {
       unod_case.graph.has_attributes() ? unod_case.graph.attribute_dim() : 0,
       degrees);
 
-  serve::EngineConfig config;
-  config.num_threads = 2;
-  config.max_batch = 8;
-  config.max_delay_us = 500;
-  serve::ScoringEngine engine(std::move(detector.value()), unod_case.graph,
-                              config);
+  serve::ScoringEngine engine(std::move(detector.value()), unod_case.graph);
   VGOD_CHECK(engine.EnableStreaming(serve::StreamingOptions()).ok());
   VGOD_CHECK(engine.Start().ok());
 

@@ -15,7 +15,6 @@ std::string AccessRecordToJson(const AccessRecord& record) {
   obs::AppendJsonString(&out, record.path);
   out.append(",\"status\":" + std::to_string(record.status));
   out.append(",\"nodes\":" + std::to_string(record.num_nodes));
-  out.append(",\"batch_size\":" + std::to_string(record.batch_size));
   out.append(record.shed ? ",\"shed\":true" : ",\"shed\":false");
   out.append(",\"error_class\":");
   obs::AppendJsonString(&out, record.error_class);

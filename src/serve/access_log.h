@@ -20,18 +20,17 @@ struct AccessRecord {
   std::string path;
   int status = 200;
   int num_nodes = 0;    // Node ids asked for (subgraph requests: graph size).
-  int batch_size = 0;   // Size of the batch that answered the request.
-  bool shed = false;    // Load-shedding rejection (queue full).
+  bool shed = false;    // Load-shedding rejection (in-flight cap reached).
   std::string error_class;  // Empty on success; CountHttpError's class name.
   int64_t parse_us = 0;
   int64_t queue_wait_us = 0;
-  int64_t batch_assembly_us = 0;
+  int64_t batch_assembly_us = 0;  // Always 0; kept for existing readers.
   int64_t score_us = 0;
   int64_t serialize_us = 0;
   int64_t total_us = 0;
-  /// Peak live tensor bytes allocated by the Score() call that answered
-  /// the request (net of frees, high-water on the scoring thread) — lets
-  /// /debug/slow correlate tail latency with memory pressure.
+  /// Peak live tensor bytes allocated by the Score() call the request ran
+  /// (net of frees, high-water on the scoring thread; 0 for a table hit)
+  /// — lets /debug/slow correlate tail latency with memory pressure.
   int64_t tensor_peak_bytes = 0;
 };
 

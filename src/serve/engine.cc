@@ -16,22 +16,10 @@
 namespace vgod::serve {
 namespace {
 
-// Batch-size histogram edges: powers of two up to a generous cap.
-const std::vector<double>& BatchSizeBounds() {
-  static const std::vector<double>* bounds =
-      new std::vector<double>{1, 2, 4, 8, 16, 32, 64, 128};
-  return *bounds;
-}
-
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-double SecondsBetween(std::chrono::steady_clock::time_point start,
-                      std::chrono::steady_clock::time_point end) {
-  return std::chrono::duration<double>(end - start).count();
 }
 
 /// Publishes the engine atomics as serve.engine.* gauges. Gauge Set() is
@@ -50,16 +38,20 @@ void PublishEngineStats(const EngineStats& stats) {
   shed->Set(static_cast<double>(stats.shed));
 }
 
+/// Publishes the number of scoring calls in flight (the load-shedding
+/// cap's counter) as the serve.queue.depth gauge.
+void PublishInFlight(int in_flight) {
+  static obs::Gauge* depth =
+      obs::MetricsRegistry::Global().GetGauge("serve.queue.depth");
+  depth->Set(static_cast<double>(in_flight));
+}
+
 /// Records one request's engine-side stage breakdown into the
-/// serve.stage.* histograms and closes its cross-thread trace flow
-/// (the "f" end of the arrow the accept thread started at Submit).
+/// serve.stage.* histograms.
 void ObserveStages(const StageTiming& timing) {
   VGOD_HISTOGRAM_OBSERVE("serve.stage.queue_wait.seconds",
                          timing.queue_wait_seconds);
-  VGOD_HISTOGRAM_OBSERVE("serve.stage.batch_assembly.seconds",
-                         timing.batch_assembly_seconds);
   VGOD_HISTOGRAM_OBSERVE("serve.stage.score.seconds", timing.score_seconds);
-  obs::RecordFlowEvent("serve/request", timing.request_id, /*finish=*/true);
 }
 
 /// Runs the detector and validates every emitted score vector before any
@@ -170,51 +162,36 @@ ScoringEngine::ScoringEngine(
   current_graph_ = boot_graph_;
   resident_nodes_.store(boot_graph_->num_nodes(), std::memory_order_relaxed);
   VGOD_CHECK(detector_ != nullptr) << "ScoringEngine needs a detector";
-  VGOD_CHECK(config_.num_threads > 0) << "num_threads must be positive";
   VGOD_CHECK(config_.intra_op_threads >= 0)
       << "intra_op_threads must be >= 0 (0 = leave the global pool alone)";
-  VGOD_CHECK(config_.max_batch > 0) << "max_batch must be positive";
   VGOD_CHECK(config_.max_queue > 0) << "max_queue must be positive";
 }
 
 ScoringEngine::~ScoringEngine() { Shutdown(); }
 
 Status ScoringEngine::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (started_) return Status::FailedPrecondition("engine already started");
-  if (stopping_) return Status::FailedPrecondition("engine was shut down");
-  // Size the kernel pool before any worker can touch it: Score() calls
-  // from the pool below run parallel kernels on the global vgod::par pool.
+  if (stopping_.load()) {
+    return Status::FailedPrecondition("engine was shut down");
+  }
+  if (started_.exchange(true)) {
+    return Status::FailedPrecondition("engine already started");
+  }
+  // Size the kernel pool before the first Score() runs parallel kernels
+  // on the global vgod::par pool.
   if (config_.intra_op_threads > 0) {
     par::SetNumThreads(config_.intra_op_threads);
-  }
-  started_ = true;
-  workers_.reserve(config_.num_threads);
-  for (int i = 0; i < config_.num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
   }
   return Status::Ok();
 }
 
 void ScoringEngine::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
-  // Without a started pool nothing drains the queue; fail what's left so
-  // no future is abandoned.
-  std::deque<Pending> orphaned;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    orphaned.swap(queue_);
-  }
-  for (Pending& pending : orphaned) {
-    FinishRequest(&pending,
-                  Status::FailedPrecondition("engine shut down"));
+  stopping_.store(true);
+  // Enter() counts a call in flight before it checks stopping_, and both
+  // sides are sequentially consistent, so every call either sees
+  // stopping_ or is counted here.
+  for (int in_flight = in_flight_.load(); in_flight != 0;
+       in_flight = in_flight_.load()) {
+    in_flight_.wait(in_flight);
   }
 }
 
@@ -228,12 +205,9 @@ Status ScoringEngine::EnableStreaming(StreamingOptions options) {
   if (options.max_events_per_batch <= 0) {
     return Status::InvalidArgument("max_events_per_batch must be positive");
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (started_ || stopping_) {
-      return Status::FailedPrecondition(
-          "EnableStreaming must run before Start()");
-    }
+  if (started_.load() || stopping_.load()) {
+    return Status::FailedPrecondition(
+        "EnableStreaming must run before Start()");
   }
   std::lock_guard<std::mutex> stream_lock(stream_mu_);
   if (store_ != nullptr) {
@@ -259,11 +233,8 @@ Result<IngestResult> ScoringEngine::Ingest(const stream::EventBatch& batch,
     return Status::FailedPrecondition(
         "streaming is not enabled on this engine (serve with --streaming)");
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_ || stopping_) {
-      return Status::FailedPrecondition("engine is not accepting work");
-    }
+  if (!started_.load() || stopping_.load()) {
+    return Status::FailedPrecondition("engine is not accepting work");
   }
   VGOD_TRACE_SPAN("stream/ingest");
   const auto start = std::chrono::steady_clock::now();
@@ -312,11 +283,13 @@ Result<IngestResult> ScoringEngine::Ingest(const stream::EventBatch& batch,
   }
 
   // Publish the post-batch snapshot (pays the materialization here, on
-  // the ingest request, so scoring workers only ever swap a pointer).
+  // the ingest request, so readers only ever swap a pointer). The new
+  // version makes the next node read build a fresh score table.
   std::shared_ptr<const AttributedGraph> snapshot = store_->Snapshot();
   {
     std::lock_guard<std::mutex> graph_lock(graph_mu_);
     current_graph_ = snapshot;
+    ++graph_version_;
   }
   resident_nodes_.store(snapshot->num_nodes(), std::memory_order_release);
 
@@ -371,16 +344,13 @@ Result<std::vector<WatchlistEntry>> ScoringEngine::Watchlist(int k) {
 }
 
 bool ScoringEngine::Ready(std::string* reason) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      *reason = "engine is draining";
-      return false;
-    }
-    if (!started_) {
-      *reason = "engine not started";
-      return false;
-    }
+  if (stopping_.load()) {
+    *reason = "engine is draining";
+    return false;
+  }
+  if (!started_.load()) {
+    *reason = "engine not started";
+    return false;
   }
   if (compacting_.load(std::memory_order_acquire)) {
     *reason = "compaction snapshot swap in flight";
@@ -402,59 +372,44 @@ EngineStats ScoringEngine::stats() const {
   return stats;
 }
 
-Status ScoringEngine::Enqueue(Pending* pending) {
-  pending->enqueued = std::chrono::steady_clock::now();
-  if (pending->request_id == 0) pending->request_id = NextRequestId();
-  const uint64_t request_id = pending->request_id;
+Status ScoringEngine::Enter() {
   VGOD_COUNTER_INC("serve.requests.total");
-
+  const int in_flight = in_flight_.fetch_add(1) + 1;
   Status rejected = Status::Ok();
-  bool shed = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ || !started_) {
-      rejected = Status::FailedPrecondition("engine is not accepting work");
-    } else if (static_cast<int>(queue_.size()) >= config_.max_queue) {
-      rejected = Status::OutOfRange("scoring queue is full");
-      shed = true;
-    } else {
-      queue_.push_back(std::move(*pending));
-      obs::MetricsRegistry::Global()
-          .GetGauge("serve.queue.depth")
-          ->Set(static_cast<double>(queue_.size()));
-    }
+  if (stopping_.load() || !started_.load()) {
+    rejected = Status::FailedPrecondition("engine is not accepting work");
+  } else if (in_flight > config_.max_queue) {
+    rejected = Status::OutOfRange("scoring engine at capacity (" +
+                                  std::to_string(config_.max_queue) +
+                                  " calls in flight)");
+    shed_count_.fetch_add(1, std::memory_order_relaxed);
+    PublishEngineStats(stats());
   }
   if (!rejected.ok()) {
     VGOD_COUNTER_INC("serve.requests.rejected");
-    if (shed) {
-      shed_count_.fetch_add(1, std::memory_order_relaxed);
-      PublishEngineStats(stats());
-    }
+    if (in_flight_.fetch_sub(1) == 1) in_flight_.notify_all();
     return rejected;
   }
-  // Flow start on the submitting (accept) thread; the batch worker that
-  // executes the request records the matching finish, tying the two
-  // threads' spans together in the trace viewer.
-  obs::RecordFlowEvent("serve/request", request_id, /*finish=*/false);
-  cv_.notify_one();
+  PublishInFlight(in_flight);
   return Status::Ok();
 }
 
-std::future<Result<ScoreResult>> ScoringEngine::Submit(Pending pending) {
-  std::future<Result<ScoreResult>> future = pending.promise.get_future();
-  const Status queued = Enqueue(&pending);
-  if (!queued.ok()) {
-    // `pending` still owns the promise only in the rejection path.
-    pending.promise.set_value(queued);
-  }
-  return future;
+Result<ScoreResult> ScoringEngine::Finish(
+    std::chrono::steady_clock::time_point start, Result<ScoreResult> result) {
+  VGOD_HISTOGRAM_OBSERVE("serve.request.latency.seconds", SecondsSince(start));
+  VGOD_COUNTER_INC("serve.requests.completed");
+  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  PublishEngineStats(stats());
+  const int in_flight = in_flight_.fetch_sub(1) - 1;
+  PublishInFlight(in_flight);
+  if (in_flight == 0) in_flight_.notify_all();
+  return result;
 }
 
 Status ScoringEngine::ValidateNodes(const std::vector<int>& nodes) const {
-  // Validate ids up front so a bad request cannot poison a whole batch.
   // Under streaming the bound is the latest published snapshot's node
   // count, which only ever grows — a node valid here stays valid for
-  // whichever (same-or-newer) snapshot the batch worker scores.
+  // whichever (same-or-newer) snapshot's table answers the request.
   const int resident = resident_nodes_.load(std::memory_order_acquire);
   for (int node : nodes) {
     if (node < 0 || node >= resident) {
@@ -483,263 +438,109 @@ Status ScoringEngine::ValidateSubgraph(const AttributedGraph& graph) const {
   return Status::Ok();
 }
 
-std::future<Result<ScoreResult>> ScoringEngine::SubmitNodes(
-    std::vector<int> nodes, uint64_t request_id) {
-  const Status valid = ValidateNodes(nodes);
-  if (!valid.ok()) {
-    std::promise<Result<ScoreResult>> broken;
-    broken.set_value(valid);
-    return broken.get_future();
-  }
-  Pending pending;
-  pending.nodes = std::move(nodes);
-  pending.request_id = request_id;
-  return Submit(std::move(pending));
+Result<detectors::DetectorOutput> ScoringEngine::TimedScore(
+    const AttributedGraph& graph, StageTiming* timing) {
+  const auto score_start = std::chrono::steady_clock::now();
+  Result<detectors::DetectorOutput> out =
+      GuardedScore(*detector_, graph, &timing->tensor_peak_bytes);
+  timing->score_seconds = SecondsSince(score_start);
+  VGOD_HISTOGRAM_OBSERVE("serve.score.latency.seconds",
+                         timing->score_seconds);
+  score_calls_.fetch_add(1, std::memory_order_relaxed);
+  PublishEngineStats(stats());
+  return out;
 }
 
-std::future<Result<ScoreResult>> ScoringEngine::SubmitGraph(
-    AttributedGraph graph, uint64_t request_id) {
-  const Status valid = ValidateSubgraph(graph);
-  if (!valid.ok()) {
-    std::promise<Result<ScoreResult>> broken;
-    broken.set_value(valid);
-    return broken.get_future();
+ScoringEngine::ScoreTable ScoringEngine::LatestTable(StageTiming* timing) {
+  const auto start = std::chrono::steady_clock::now();
+  std::optional<std::promise<Result<detectors::DetectorOutput>>> build;
+  std::shared_ptr<const AttributedGraph> graph;  // Set only for a builder.
+  uint64_t version = 0;
+  ScoreTable table;
+  {
+    std::lock_guard<std::mutex> lock(graph_mu_);
+    if (!table_.valid() || table_version_ != graph_version_) {
+      build.emplace();
+      table_ = build->get_future().share();
+      table_version_ = graph_version_;
+      graph = current_graph_;
+    }
+    version = table_version_;
+    table = table_;
   }
-  Pending pending;
-  pending.subgraph =
-      std::make_shared<const AttributedGraph>(std::move(graph));
-  pending.request_id = request_id;
-  return Submit(std::move(pending));
-}
-
-void ScoringEngine::SubmitNodesAsync(std::vector<int> nodes,
-                                     uint64_t request_id, ScoreCallback done) {
-  const Status valid = ValidateNodes(nodes);
-  if (!valid.ok()) {
-    done(valid);
-    return;
+  if (!build) {
+    table.wait();
+    timing->queue_wait_seconds = SecondsSince(start);
+    return table;
   }
-  Pending pending;
-  pending.nodes = std::move(nodes);
-  pending.request_id = request_id;
-  pending.callback = std::move(done);
-  const Status queued = Enqueue(&pending);
-  // On rejection Enqueue leaves `pending` (and so the callback) with us.
-  if (!queued.ok()) pending.callback(queued);
-}
-
-void ScoringEngine::SubmitGraphAsync(AttributedGraph graph,
-                                     uint64_t request_id, ScoreCallback done) {
-  const Status valid = ValidateSubgraph(graph);
-  if (!valid.ok()) {
-    done(valid);
-    return;
+  Result<detectors::DetectorOutput> built = TimedScore(*graph, timing);
+  graph.reset();
+  if (!built.ok()) {
+    // Failures are not cached: this build's waiters get the error, and
+    // the next reader of the snapshot tries again.
+    std::lock_guard<std::mutex> lock(graph_mu_);
+    if (table_version_ == version) table_ = ScoreTable();
   }
-  Pending pending;
-  pending.subgraph =
-      std::make_shared<const AttributedGraph>(std::move(graph));
-  pending.request_id = request_id;
-  pending.callback = std::move(done);
-  const Status queued = Enqueue(&pending);
-  if (!queued.ok()) pending.callback(queued);
+  build->set_value(std::move(built));
+  return table;
 }
 
 Result<ScoreResult> ScoringEngine::ScoreNodes(std::vector<int> nodes,
                                               uint64_t request_id) {
-  return SubmitNodes(std::move(nodes), request_id).get();
+  VGOD_RETURN_IF_ERROR(ValidateNodes(nodes));
+  VGOD_RETURN_IF_ERROR(Enter());
+  const auto start = std::chrono::steady_clock::now();
+  VGOD_TRACE_SPAN("serve/nodes");
+  ScoreResult result;
+  result.timing.request_id = request_id != 0 ? request_id : NextRequestId();
+  const ScoreTable table = LatestTable(&result.timing);
+  ObserveStages(result.timing);
+  const Result<detectors::DetectorOutput>& scored = table.get();
+  if (!scored.ok()) return Finish(start, scored.status());
+  const detectors::DetectorOutput& out = scored.value();
+  // Belt-and-braces under streaming: ids were validated against a
+  // snapshot no newer than the one scored, so this cannot fire unless
+  // that ordering invariant breaks — degrade to a 500, not UB.
+  for (int node : nodes) {
+    if (static_cast<size_t>(node) >= out.score.size()) {
+      return Finish(start,
+                    Status::Internal(
+                        "scored snapshot is older than the validated node "
+                        "ids"));
+    }
+  }
+  result.score.reserve(nodes.size());
+  for (int node : nodes) result.score.push_back(out.score[node]);
+  if (out.has_components()) {
+    result.structural.reserve(nodes.size());
+    result.contextual.reserve(nodes.size());
+    for (int node : nodes) {
+      result.structural.push_back(out.structural_score[node]);
+      result.contextual.push_back(out.contextual_score[node]);
+    }
+  }
+  result.nodes = std::move(nodes);
+  return Finish(start, std::move(result));
 }
 
 Result<ScoreResult> ScoringEngine::ScoreGraph(AttributedGraph graph,
                                               uint64_t request_id) {
-  return SubmitGraph(std::move(graph), request_id).get();
-}
-
-void ScoringEngine::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;  // Drained.
-      continue;
-    }
-
-    Pending first = std::move(queue_.front());
-    queue_.pop_front();
-    first.dequeued = std::chrono::steady_clock::now();
-
-    if (first.subgraph != nullptr) {
-      obs::MetricsRegistry::Global()
-          .GetGauge("serve.queue.depth")
-          ->Set(static_cast<double>(queue_.size()));
-      lock.unlock();
-      ExecuteSubgraph(std::move(first));
-      lock.lock();
-      continue;
-    }
-
-    // Coalesce node requests: flush on max_batch, on the oldest request
-    // reaching max_delay_us, or immediately while draining. A subgraph
-    // request at the head stops accumulation so FIFO order holds.
-    std::vector<Pending> batch;
-    batch.push_back(std::move(first));
-    const auto deadline =
-        batch.front().enqueued +
-        std::chrono::microseconds(config_.max_delay_us);
-    while (static_cast<int>(batch.size()) < config_.max_batch) {
-      if (!queue_.empty()) {
-        if (queue_.front().subgraph != nullptr) break;
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        batch.back().dequeued = std::chrono::steady_clock::now();
-        continue;
-      }
-      if (stopping_) break;
-      if (cv_.wait_until(lock, deadline, [this] {
-            return stopping_ || !queue_.empty();
-          })) {
-        continue;  // New work or draining; loop re-checks.
-      }
-      break;  // Deadline: flush what we have.
-    }
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.queue.depth")
-        ->Set(static_cast<double>(queue_.size()));
-    lock.unlock();
-    ExecuteBatch(std::move(batch));
-    lock.lock();
-  }
-}
-
-void ScoringEngine::FinishRequest(Pending* pending,
-                                  Result<ScoreResult> result) {
-  VGOD_HISTOGRAM_OBSERVE("serve.request.latency.seconds",
-                         SecondsSince(pending->enqueued));
-  VGOD_COUNTER_INC("serve.requests.completed");
-  if (pending->callback) {
-    pending->callback(std::move(result));
-  } else {
-    pending->promise.set_value(std::move(result));
-  }
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  PublishEngineStats(stats());
-}
-
-/// Engine-side stage breakdown for one request of a flushed batch:
-/// queue wait (enqueue -> picked by a worker), batch assembly (picked ->
-/// batch flush), and the shared Score() call.
-StageTiming ScoringEngine::TimingFor(
-    const Pending& pending, std::chrono::steady_clock::time_point score_start,
-    double score_seconds, int batch_size, int64_t tensor_peak_bytes) {
-  StageTiming timing;
-  timing.request_id = pending.request_id;
-  timing.queue_wait_seconds =
-      SecondsBetween(pending.enqueued, pending.dequeued);
-  timing.batch_assembly_seconds =
-      SecondsBetween(pending.dequeued, score_start);
-  timing.score_seconds = score_seconds;
-  timing.batch_size = batch_size;
-  timing.tensor_peak_bytes = tensor_peak_bytes;
-  return timing;
-}
-
-void ScoringEngine::ExecuteBatch(std::vector<Pending> batch) {
-  VGOD_TRACE_SPAN("serve/batch");
-  {
-    static obs::Histogram* batch_size =
-        obs::MetricsRegistry::Global().GetHistogram("serve.batch.size",
-                                                    BatchSizeBounds());
-    batch_size->Observe(static_cast<double>(batch.size()));
-  }
-  const auto score_start = std::chrono::steady_clock::now();
-  int64_t tensor_peak_bytes = 0;
-  // Pin the latest published snapshot for the whole batch. Under
-  // streaming this is how a batch never sees a half-mutated graph:
-  // ingest swaps the pointer atomically and old snapshots stay immutable
-  // for as long as anyone holds them.
-  const std::shared_ptr<const AttributedGraph> resident = CurrentGraph();
-  Result<detectors::DetectorOutput> guarded =
-      GuardedScore(*detector_, *resident, &tensor_peak_bytes);
-  const double score_seconds = SecondsSince(score_start);
-  VGOD_HISTOGRAM_OBSERVE("serve.score.latency.seconds", score_seconds);
-  score_calls_.fetch_add(1, std::memory_order_relaxed);
-  if (!guarded.ok()) {
-    for (Pending& pending : batch) {
-      ObserveStages(TimingFor(pending, score_start, score_seconds,
-                              static_cast<int>(batch.size()),
-                              tensor_peak_bytes));
-      FinishRequest(&pending, guarded.status());
-    }
-    return;
-  }
-  const detectors::DetectorOutput& out = guarded.value();
-
-  for (Pending& pending : batch) {
-    ScoreResult result;
-    result.timing = TimingFor(pending, score_start, score_seconds,
-                              static_cast<int>(batch.size()),
-                              tensor_peak_bytes);
-    ObserveStages(result.timing);
-    result.nodes = std::move(pending.nodes);
-    // Belt-and-braces under streaming: ids were validated against a
-    // snapshot no newer than the one scored, so this cannot fire unless
-    // that ordering invariant breaks — degrade to a 500, not UB.
-    bool in_range = true;
-    for (int node : result.nodes) {
-      if (static_cast<size_t>(node) >= out.score.size()) {
-        in_range = false;
-        break;
-      }
-    }
-    if (!in_range) {
-      FinishRequest(&pending, Status::Internal(
-                                  "scored snapshot is older than the "
-                                  "validated node ids"));
-      continue;
-    }
-    result.score.reserve(result.nodes.size());
-    for (int node : result.nodes) {
-      result.score.push_back(out.score[node]);
-    }
-    if (out.has_components()) {
-      result.structural.reserve(result.nodes.size());
-      result.contextual.reserve(result.nodes.size());
-      for (int node : result.nodes) {
-        result.structural.push_back(out.structural_score[node]);
-        result.contextual.push_back(out.contextual_score[node]);
-      }
-    }
-    FinishRequest(&pending, std::move(result));
-  }
-}
-
-void ScoringEngine::ExecuteSubgraph(Pending pending) {
+  VGOD_RETURN_IF_ERROR(ValidateSubgraph(graph));
+  VGOD_RETURN_IF_ERROR(Enter());
+  const auto start = std::chrono::steady_clock::now();
   VGOD_TRACE_SPAN("serve/subgraph");
-  const auto score_start = std::chrono::steady_clock::now();
-  int64_t tensor_peak_bytes = 0;
-  Result<detectors::DetectorOutput> guarded =
-      GuardedScore(*detector_, *pending.subgraph, &tensor_peak_bytes);
-  const double score_seconds = SecondsSince(score_start);
-  VGOD_HISTOGRAM_OBSERVE("serve.score.latency.seconds", score_seconds);
-  score_calls_.fetch_add(1, std::memory_order_relaxed);
-  const StageTiming timing = TimingFor(pending, score_start, score_seconds,
-                                       /*batch_size=*/1, tensor_peak_bytes);
-  ObserveStages(timing);
-  if (!guarded.ok()) {
-    FinishRequest(&pending, guarded.status());
-    return;
-  }
-  detectors::DetectorOutput out = std::move(guarded).value();
-
   ScoreResult result;
-  result.timing = timing;
-  result.nodes.resize(pending.subgraph->num_nodes());
-  for (int i = 0; i < pending.subgraph->num_nodes(); ++i) {
-    result.nodes[i] = i;
-  }
+  result.timing.request_id = request_id != 0 ? request_id : NextRequestId();
+  Result<detectors::DetectorOutput> scored = TimedScore(graph, &result.timing);
+  ObserveStages(result.timing);
+  if (!scored.ok()) return Finish(start, scored.status());
+  detectors::DetectorOutput out = std::move(scored).value();
+  result.nodes.resize(graph.num_nodes());
+  for (int i = 0; i < graph.num_nodes(); ++i) result.nodes[i] = i;
   result.score = std::move(out.score);
   result.structural = std::move(out.structural_score);
   result.contextual = std::move(out.contextual_score);
-  FinishRequest(&pending, std::move(result));
+  return Finish(start, std::move(result));
 }
 
 }  // namespace vgod::serve

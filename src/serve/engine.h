@@ -3,16 +3,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/status.h"
@@ -25,44 +22,37 @@
 
 namespace vgod::serve {
 
-/// Batching/threading knobs of the scoring engine (docs/SERVING.md,
-/// docs/PARALLELISM.md for how the two thread pools compose).
+/// Scoring engine knobs (docs/SERVING.md, docs/PARALLELISM.md for how
+/// the transport's dispatch pool and the kernel pool compose).
 struct EngineConfig {
-  /// Worker threads executing detector Score() calls.
-  int num_threads = 2;
   /// Intra-op kernel threads (vgod::par pool width) applied at Start().
   /// 0 leaves the global pool as configured (VGOD_NUM_THREADS or
-  /// hardware_concurrency). Pick num_threads * intra_op_threads <= cores:
-  /// the kernel pool runs one region at a time and concurrent scoring
-  /// threads fall back to serial kernels, so batch-level and kernel-level
-  /// parallelism never oversubscribe.
+  /// hardware_concurrency). Pick dispatch_threads * intra_op_threads <=
+  /// cores: the kernel pool runs one region at a time and concurrent
+  /// Score() calls fall back to serial kernels, so request-level and
+  /// kernel-level parallelism never oversubscribe.
   int intra_op_threads = 0;
-  /// A batch flushes when it holds this many node-scoring requests...
-  int max_batch = 8;
-  /// ...or when its oldest request has waited this long, whichever first.
-  int max_delay_us = 1000;
-  /// Submissions beyond this queue depth are rejected (load shedding, so a
-  /// burst degrades to fast 503s instead of unbounded latency).
+  /// Scoring calls in flight beyond this are rejected (load shedding, so
+  /// a burst degrades to fast 503s instead of unbounded latency).
   int max_queue = 1024;
 };
 
-/// Per-request stage timing filled in by the engine as the request moves
-/// accept thread -> bounded queue -> batch worker. The HTTP layer adds
+/// Per-request stage timing filled in by the engine. The HTTP layer adds
 /// parse/serialize on top (docs/OBSERVABILITY.md "Request lifecycle").
 struct StageTiming {
   uint64_t request_id = 0;
-  /// Submit() enqueue -> a worker picking the request out of the queue.
+  /// Time spent waiting for a score table another caller was computing
+  /// for the same snapshot (0 for the caller that computes it, ~0 for a
+  /// table hit).
   double queue_wait_seconds = 0.0;
-  /// Picked -> batch flush (waiting for the batch to fill or its
-  /// deadline; 0 for subgraph requests, which never coalesce).
+  /// Always 0. Kept so readers of the stage breakdown keep their field;
+  /// the engine no longer assembles batches.
   double batch_assembly_seconds = 0.0;
-  /// The detector Score() call that answered the request.
+  /// The detector Score() call this request ran: the snapshot's table
+  /// build or an inline subgraph. 0 for a table hit or a waiter.
   double score_seconds = 0.0;
-  /// Requests answered by the same Score() call (1 for subgraphs).
-  int batch_size = 0;
   /// High-water mark of net tensor allocations on the scoring thread
-  /// during the Score() call that answered this request (the request's
-  /// peak live-tensor-bytes delta; shared across a batch).
+  /// during that Score() call (0 when the request ran none).
   int64_t tensor_peak_bytes = 0;
 };
 
@@ -118,34 +108,25 @@ struct ScoreResult {
 struct EngineStats {
   int64_t batches_flushed = 0;   // Detector Score() invocations.
   int64_t requests_served = 0;   // Requests answered (ok or error).
-  int64_t shed = 0;              // Queue-full load-shedding rejections.
+  int64_t shed = 0;              // In-flight-cap load-shedding rejections.
 };
 
-/// Owns a fitted detector and a resident graph behind a fixed worker pool
-/// with a bounded request queue and dynamic micro-batching.
+/// Owns a fitted detector and a resident graph, and answers scoring
+/// calls on the caller's thread.
 ///
 /// Two request shapes:
-///  * node requests — score node ids of the resident graph. Consecutive
-///    node requests coalesce into one detector Score() call per flush
-///    (size- or deadline-triggered), which is where the throughput win
-///    comes from: one full-graph scoring pass answers up to max_batch
-///    requests.
+///  * node requests — score node ids of the resident graph. A score is a
+///    pure function of (model, snapshot), so the engine keeps one score
+///    table per published snapshot: the first reader of a snapshot runs
+///    the detector's full-graph Score() and every other reader of that
+///    snapshot waits on the same computation, then answers by lookup.
 ///  * subgraph requests — score a request-supplied graph (the inductive
-///    deployment shape). Executed singly; distinct graphs cannot share a
-///    Score() call.
+///    deployment shape), inline on the caller.
 ///
 /// Scores are computed by the same Score() the offline path uses, so
 /// served values are bit-identical to in-process scoring.
 class ScoringEngine {
  public:
-  /// Completion hook of the *Async submission shape. Invoked exactly once
-  /// — inline on the submitting thread for fast-fail rejections
-  /// (validation, full queue, stopped engine), otherwise on the batch
-  /// worker that executed the request. The epoll transport rides this:
-  /// its dispatch worker returns immediately and the HTTP Responder fires
-  /// from inside the callback.
-  using ScoreCallback = std::function<void(Result<ScoreResult>)>;
-
   /// Takes ownership of a fitted (or bundle-restored) detector and the
   /// resident graph it serves.
   ScoringEngine(std::unique_ptr<detectors::OutlierDetector> detector,
@@ -155,7 +136,9 @@ class ScoringEngine {
   ScoringEngine(const ScoringEngine&) = delete;
   ScoringEngine& operator=(const ScoringEngine&) = delete;
 
-  /// Spawns the worker pool. Fails if already started or shut down.
+  /// Sizes the kernel pool and starts accepting calls. Fails if already
+  /// started or shut down. The score table is built lazily, by the first
+  /// node request.
   Status Start();
 
   /// Turns on the streaming subsystem (src/stream/): a DeltaGraphStore
@@ -213,34 +196,18 @@ class ScoringEngine {
   /// the returned pointer pins that version, nothing more.
   std::shared_ptr<const AttributedGraph> CurrentGraph() const;
 
-  /// Graceful shutdown: rejects new submissions, drains every queued
-  /// request, joins the workers. Idempotent.
+  /// Graceful shutdown: rejects new calls, then waits for the calls in
+  /// flight to finish. Idempotent.
   void Shutdown();
 
-  /// Enqueues a node-scoring request against the resident graph. The
-  /// returned future resolves when its batch executes. Fails fast (error
-  /// future) on invalid node ids, a full queue, or a stopped engine.
-  /// `request_id` tags the request's StageTiming, access-log line, and
-  /// trace flow events; 0 lets the engine assign one (NextRequestId).
-  std::future<Result<ScoreResult>> SubmitNodes(std::vector<int> nodes,
-                                               uint64_t request_id = 0);
-
-  /// Enqueues a request to score `graph` (scores every node of it).
-  std::future<Result<ScoreResult>> SubmitGraph(AttributedGraph graph,
-                                               uint64_t request_id = 0);
-
-  /// Callback-shaped submissions: same validation, batching, and error
-  /// taxonomy as the future-returning forms, but completion is delivered
-  /// by invoking `done` instead of resolving a future — no thread ever
-  /// blocks on a result.
-  void SubmitNodesAsync(std::vector<int> nodes, uint64_t request_id,
-                        ScoreCallback done);
-  void SubmitGraphAsync(AttributedGraph graph, uint64_t request_id,
-                        ScoreCallback done);
-
-  /// Blocking conveniences over the Submit calls.
+  /// Scores node ids of the latest published snapshot (the score table
+  /// lookup described above). Fails fast on invalid node ids, a full
+  /// in-flight cap, or a stopped engine. `request_id` tags the request's
+  /// StageTiming and access-log line; 0 lets the engine assign one
+  /// (NextRequestId).
   Result<ScoreResult> ScoreNodes(std::vector<int> nodes,
                                  uint64_t request_id = 0);
+  /// Scores every node of `graph` with one inline Score() call.
   Result<ScoreResult> ScoreGraph(AttributedGraph graph,
                                  uint64_t request_id = 0);
 
@@ -249,9 +216,8 @@ class ScoringEngine {
   /// under streaming (ingest publishes new snapshots via CurrentGraph();
   /// it never mutates or retires this one).
   const AttributedGraph& graph() const { return *boot_graph_; }
-  const EngineConfig& config() const { return config_; }
 
-  /// Detector Score() invocations so far (== flushed batches).
+  /// Detector Score() invocations so far (table builds + subgraphs).
   int64_t score_calls() const {
     return score_calls_.load(std::memory_order_relaxed);
   }
@@ -263,43 +229,36 @@ class ScoringEngine {
   EngineStats stats() const;
 
  private:
-  struct Pending {
-    std::vector<int> nodes;                             // Node request.
-    std::shared_ptr<const AttributedGraph> subgraph;    // Subgraph request.
-    std::promise<Result<ScoreResult>> promise;
-    /// Non-null for *Async submissions; completion then goes through the
-    /// callback and the promise is never touched.
-    ScoreCallback callback;
-    uint64_t request_id = 0;
-    std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point dequeued;
-  };
+  /// The full-graph detector output of one snapshot, shared by every
+  /// reader of that snapshot. Holds score vectors only, never the graph,
+  /// so a superseded snapshot is freed as soon as ingest replaces it.
+  using ScoreTable = std::shared_future<Result<detectors::DetectorOutput>>;
 
-  std::future<Result<ScoreResult>> Submit(Pending pending);
-  /// Enqueue path shared by the future and callback shapes. Returns Ok
-  /// when the request was queued; otherwise the caller delivers the
-  /// status itself (the rejection was already counted).
-  Status Enqueue(Pending* pending);
-  /// Fast-fail validation shared by both submission shapes; a failure is
-  /// counted as a rejected request.
+  /// Admission for a scoring call: counts it in flight, or rejects it
+  /// (stopped engine, or the in-flight cap reached -> shed). Each Ok must
+  /// be paired with Finish().
+  Status Enter();
+  /// Completes an admitted call started at `start`: latency and counters,
+  /// then the in-flight release Shutdown() waits on. Returns `result`.
+  Result<ScoreResult> Finish(std::chrono::steady_clock::time_point start,
+                             Result<ScoreResult> result);
+  /// Fast-fail validation; a failure is counted as a rejected request.
   Status ValidateNodes(const std::vector<int>& nodes) const;
   Status ValidateSubgraph(const AttributedGraph& graph) const;
-  static StageTiming TimingFor(
-      const Pending& pending,
-      std::chrono::steady_clock::time_point score_start, double score_seconds,
-      int batch_size, int64_t tensor_peak_bytes);
-  void WorkerLoop();
-  void ExecuteBatch(std::vector<Pending> batch);
-  void ExecuteSubgraph(Pending pending);
-  void FinishRequest(Pending* pending, Result<ScoreResult> result);
+  /// The score table of the latest published snapshot, built on this
+  /// thread when this call is its first reader and waited on otherwise.
+  /// `timing` receives the wait or Score() time this call paid.
+  ScoreTable LatestTable(StageTiming* timing);
+  /// Runs one detector Score() under the non-finite guard and times it.
+  Result<detectors::DetectorOutput> TimedScore(const AttributedGraph& graph,
+                                               StageTiming* timing);
 
   const std::unique_ptr<detectors::OutlierDetector> detector_;
   const std::shared_ptr<const AttributedGraph> boot_graph_;
   const EngineConfig config_;
 
   // --- Streaming state (null/idle when streaming is off) ---
-  // Lock order: mu_ and stream_mu_ are never held together; stream_mu_
-  // may take graph_mu_; graph_mu_ is a leaf.
+  // Lock order: stream_mu_ may take graph_mu_; graph_mu_ is a leaf.
   StreamingOptions stream_options_;
   std::mutex stream_mu_;  // Serializes store_/scorer_ access.
   std::unique_ptr<stream::DeltaGraphStore> store_;
@@ -309,23 +268,29 @@ class ScoringEngine {
   std::vector<int> last_watchlist_nodes_;
   WatchlistChangeCallback watchlist_callback_;  // Set before Start().
   std::shared_ptr<const obs::ModelFingerprint> fingerprint_;
-  mutable std::mutex graph_mu_;  // Guards current_graph_ only.
+
+  // --- Published snapshot and its score table (graph_mu_) ---
+  mutable std::mutex graph_mu_;
   std::shared_ptr<const AttributedGraph> current_graph_;
+  /// Bumped by every ingest publish; keys the score table.
+  uint64_t graph_version_ = 0;
+  /// The one cached table: `table_` scores snapshot `table_version_`.
+  /// Invalid (no table) until the first read, after a failed build, and
+  /// whenever the reader of a newer snapshot replaces it.
+  uint64_t table_version_ = 0;
+  ScoreTable table_;
   /// True while a compaction snapshot swap is in flight (readiness gate).
   std::atomic<bool> compacting_{false};
-  /// Monotone node count of the latest published snapshot; SubmitNodes
-  /// validates against this without touching the stream mutex. Safe
-  /// because streaming only ever grows the node set.
+  /// Monotone node count of the latest published snapshot; ScoreNodes
+  /// validates against this without touching a lock. Safe because
+  /// streaming only ever grows the node set.
   std::atomic<int> resident_nodes_{0};
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  std::vector<std::thread> workers_;
-  bool started_ = false;
-  bool stopping_ = false;
-  // Atomics, not mutex-guarded ints: bumped from every pool worker on the
-  // request hot path, where taking mu_ would contend with the batch queue.
+  // --- Lifecycle and counters (lock-free; see Enter/Shutdown) ---
+  std::atomic<bool> started_{false};
+  std::atomic<bool> stopping_{false};
+  /// Scoring calls between Enter and Finish; Shutdown waits for 0.
+  std::atomic<int> in_flight_{0};
   std::atomic<int64_t> score_calls_{0};
   std::atomic<int64_t> requests_served_{0};
   std::atomic<int64_t> shed_count_{0};

@@ -110,8 +110,7 @@ struct TransportOptions {
 /// every pipelined request already buffered), and writes responses —
 /// all nonblocking. Complete requests are handed to a small fixed
 /// dispatch pool which invokes the handler; the handler answers through
-/// a Responder, either inline or later from another thread (the
-/// ScoringEngine's async completion path), and the event thread writes
+/// a Responder (callable from any thread), and the event thread writes
 /// the response out. At most one request per connection is in the
 /// handler at a time, which is what keeps pipelined responses in order.
 class HttpServer {

@@ -38,7 +38,6 @@ int64_t SecondsToMicros(double seconds) {
 /// Copies the engine's stage breakdown into the request's access record
 /// (seconds -> integer microseconds, the log's unit).
 void RecordEngineTiming(const StageTiming& timing, AccessRecord* record) {
-  record->batch_size = timing.batch_size;
   record->tensor_peak_bytes = timing.tensor_peak_bytes;
   record->queue_wait_us = SecondsToMicros(timing.queue_wait_seconds);
   record->batch_assembly_us = SecondsToMicros(timing.batch_assembly_seconds);
@@ -121,9 +120,9 @@ int StatusToHttp(const Status& status) {
     case StatusCode::kInvalidArgument:
     case StatusCode::kNotFound:
       return 400;
-    case StatusCode::kOutOfRange:         // Bad node id or full queue.
+    case StatusCode::kOutOfRange:         // Bad node id or at capacity.
     case StatusCode::kFailedPrecondition: // Engine draining.
-      return status.message().find("queue") != std::string::npos ||
+      return status.message().find("capacity") != std::string::npos ||
                      status.message().find("accepting") != std::string::npos
                  ? 503
                  : 400;
@@ -132,12 +131,12 @@ int StatusToHttp(const Status& status) {
   }
 }
 
-/// Error response for a failed engine call; flags queue-full rejections
-/// as load shedding in the access record.
+/// Error response for a failed engine call; flags in-flight-cap
+/// rejections as load shedding in the access record.
 HttpResponse ScoreError(const Status& status, AccessRecord* record) {
   const int http = StatusToHttp(status);
   record->shed =
-      http == 503 && status.message().find("queue") != std::string::npos;
+      http == 503 && status.message().find("capacity") != std::string::npos;
   return ErrorResponse(http, status.message());
 }
 
@@ -250,6 +249,70 @@ std::vector<int64_t> CumulativeEventCounts() {
 
 }  // namespace
 
+const char kServerFlagsUsage[] =
+    "  --bundle=PATH --graph=PATH [--port=8080] [--num_threads=N]\n"
+    "  [--max-queue=1024] [--slow-ring=16] [--dispatch-threads=4]\n"
+    "  [--max-connections=1024] [--idle-timeout-ms=30000]\n"
+    "  [--streaming] [--compact-every=4096] [--watchlist-k=10]\n"
+    "  [--max-events=4096] [--alert-rules=PATH] [--webhook-url=URL]\n"
+    "  [--monitor-interval=2] [--drift-rotate-seconds=10]\n"
+    "  [--drift-window-buckets=6] [--drift-min-count=32]\n";
+
+Result<ServerOptions> ParseServerOptions(const ArgParser& args) {
+  VGOD_RETURN_IF_ERROR(args.Validate(
+      {"bundle", "graph", "port", "num_threads", "max-queue", "slow-ring",
+       "streaming", "compact-every", "watchlist-k", "max-events",
+       "max-connections", "idle-timeout-ms", "dispatch-threads",
+       "alert-rules", "webhook-url", "monitor-interval",
+       "drift-rotate-seconds", "drift-window-buckets", "drift-min-count"}));
+  ServerOptions options;
+  options.bundle_path = args.GetString("bundle", "");
+  options.graph_path = args.GetString("graph", "");
+  if (options.bundle_path.empty() || options.graph_path.empty()) {
+    return Status::InvalidArgument("--bundle and --graph are required");
+  }
+  options.port = static_cast<int>(args.GetInt("port", 8080));
+  // Intra-op kernel pool width, applied by the engine at Start(). 0 keeps
+  // the VGOD_NUM_THREADS / hardware default (docs/PARALLELISM.md).
+  options.engine.intra_op_threads =
+      static_cast<int>(args.GetInt("num_threads", 0));
+  options.engine.max_queue = static_cast<int>(args.GetInt("max-queue", 1024));
+  options.slow_ring = static_cast<int>(args.GetInt("slow-ring", 16));
+  // Streaming ingest (docs/STREAMING.md): POST /ingest mutates the
+  // resident graph, /debug/watchlist serves the online top-k.
+  options.streaming = args.GetBool("streaming");
+  options.stream.compact_every =
+      static_cast<int>(args.GetInt("compact-every", 4096));
+  options.stream.watchlist_k =
+      static_cast<int>(args.GetInt("watchlist-k", 10));
+  options.stream.max_events_per_batch =
+      static_cast<int>(args.GetInt("max-events", 4096));
+  // Reactor transport knobs (docs/SERVING.md "Transport").
+  options.transport.max_connections =
+      static_cast<int>(args.GetInt("max-connections", 1024));
+  options.transport.idle_timeout_ms =
+      static_cast<int>(args.GetInt("idle-timeout-ms", 30000));
+  options.transport.dispatch_threads =
+      static_cast<int>(args.GetInt("dispatch-threads", 4));
+  if (options.engine.max_queue < 1 || options.transport.dispatch_threads < 1) {
+    return Status::InvalidArgument(
+        "--max-queue and --dispatch-threads must be positive");
+  }
+  // Model-quality monitoring (docs/OBSERVABILITY.md): declarative alert
+  // rules, a loopback webhook for firing/resolved transitions, and the
+  // drift window shape. The small knobs exist so the e2e drift gate can
+  // induce and observe a firing alert in seconds, not minutes.
+  options.alert_rules_path = args.GetString("alert-rules", "");
+  options.monitor.webhook_url = args.GetString("webhook-url", "");
+  options.monitor.interval_seconds = args.GetDouble("monitor-interval", 2.0);
+  options.monitor.drift.rotate_seconds =
+      args.GetDouble("drift-rotate-seconds", 10.0);
+  options.monitor.drift.window_buckets =
+      static_cast<int>(args.GetInt("drift-window-buckets", 6));
+  options.monitor.drift.min_window_count = args.GetInt("drift-min-count", 32);
+  return options;
+}
+
 Result<std::unique_ptr<ScoringEngine>> BuildEngine(
     const std::string& bundle_path, const std::string& graph_path,
     const EngineConfig& config) {
@@ -349,10 +412,9 @@ void ScoringServer::Stop() {
   monitor_cv_.notify_all();
   if (monitor_thread_.joinable()) monitor_thread_.join();
   if (webhook_ != nullptr) webhook_->Stop();
-  // Transport next so no new requests arrive while the engine drains.
-  // HttpServer::Stop makes the Responders of still-inflight requests
-  // safe no-ops, so the engine draining after it cannot touch a dead
-  // connection.
+  // Transport next: HttpServer::Stop joins the dispatch pool, so every
+  // engine call has returned and no new one can start before the engine
+  // drains.
   if (http_ != nullptr) http_->Stop();
   engine_->Shutdown();
 }
@@ -418,9 +480,7 @@ void ScoringServer::Handle(const HttpRequest& request,
   record->path = path;
 
   // Finalization (status class, total latency, access log, slow ring) is
-  // bound into the completion so it runs on whichever thread answers —
-  // inline for the debug/health endpoints, an engine batch worker for
-  // /score.
+  // bound into the completion, which every endpoint invokes exactly once.
   Done done = [this, start, record,
                respond = std::move(respond)](HttpResponse response) {
     record->status = response.status;
@@ -474,8 +534,7 @@ void ScoringServer::Dispatch(const HttpRequest& request,
             std::to_string(engine_->CurrentGraph()->num_nodes()) +
             ",\"attribute_dim\":" +
             std::to_string(engine_->CurrentGraph()->attribute_dim()) +
-            ",\"threads\":" +
-            std::to_string(engine_->config().num_threads) +
+            ",\"threads\":" + std::to_string(transport_.dispatch_threads) +
             ",\"streaming\":" +
             (engine_->streaming_enabled() ? "true" : "false") + "}";
     done(HttpResponse::Json(200, std::move(body)));
@@ -649,7 +708,7 @@ void ScoringServer::Dispatch(const HttpRequest& request,
     }
     // Windowed capture: clear the aggregate tree, enable collection for
     // the requested wall-clock window (sleeping on this transport
-    // dispatch worker; scoring proceeds on the engine threads), then
+    // dispatch worker; scoring proceeds on the other ones), then
     // restore the previous enablement. Concurrent /debug/profile windows
     // overlap benignly — they just observe each other's capture.
     const bool was_enabled = obs::ProfileEnabled();
@@ -687,22 +746,8 @@ void ScoringServer::Dispatch(const HttpRequest& request,
                          "invalid JSON: " + body.status().message()));
       return;
     }
-    // Shared completion for both /score shapes: runs on the engine
-    // worker that answered (or inline on fast-fail rejection).
-    auto finish = [this, record, done](Result<ScoreResult> result) {
-      if (!result.ok()) {
-        done(ScoreError(result.status(), record.get()));
-        return;
-      }
-      // Every served score feeds the drift window (resident-graph and
-      // inline-subgraph requests alike — both come from the same fitted
-      // model the baseline fingerprints).
-      for (double score : result.value().score) {
-        drift_->RecordScore(score);
-      }
-      RecordEngineTiming(result.value().timing, record.get());
-      done(SerializeResult(result.value(), record.get()));
-    };
+    Result<ScoreResult> result = Status::InvalidArgument(
+        "body needs 'nodes' or 'graph'");
     if (body.value().Has("nodes")) {
       const obs::JsonValue& nodes_spec = body.value().at("nodes");
       if (!nodes_spec.is_array()) {
@@ -722,11 +767,8 @@ void ScoringServer::Dispatch(const HttpRequest& request,
       record->parse_us = MicrosSince(parse_start);
       VGOD_HISTOGRAM_OBSERVE("serve.stage.parse.seconds",
                              record->parse_us * 1e-6);
-      engine_->SubmitNodesAsync(std::move(nodes), record->request_id,
-                                std::move(finish));
-      return;
-    }
-    if (body.value().Has("graph")) {
+      result = engine_->ScoreNodes(std::move(nodes), record->request_id);
+    } else if (body.value().Has("graph")) {
       Result<AttributedGraph> graph =
           ParseInlineGraph(body.value().at("graph"));
       if (!graph.ok()) {
@@ -737,11 +779,19 @@ void ScoringServer::Dispatch(const HttpRequest& request,
       record->parse_us = MicrosSince(parse_start);
       VGOD_HISTOGRAM_OBSERVE("serve.stage.parse.seconds",
                              record->parse_us * 1e-6);
-      engine_->SubmitGraphAsync(std::move(graph).value(),
-                                record->request_id, std::move(finish));
+      result = engine_->ScoreGraph(std::move(graph).value(),
+                                   record->request_id);
+    }
+    if (!result.ok()) {
+      done(ScoreError(result.status(), record.get()));
       return;
     }
-    done(ErrorResponse(400, "body needs 'nodes' or 'graph'"));
+    // Every served score feeds the drift window (resident-graph and
+    // inline-subgraph requests alike — both come from the same fitted
+    // model the baseline fingerprints).
+    for (double score : result.value().score) drift_->RecordScore(score);
+    RecordEngineTiming(result.value().timing, record.get());
+    done(SerializeResult(result.value(), record.get()));
     return;
   }
   done(ErrorResponse(404, "no such endpoint: " + path));
@@ -811,11 +861,10 @@ int RunServer(const ServerOptions& options, const std::atomic<bool>* stop) {
   }
   // Machine-readable startup banner; check_serve.py parses the port.
   std::printf("vgod_serve listening on 127.0.0.1:%d (detector=%s nodes=%d "
-              "threads=%d max_batch=%d max_delay_us=%d streaming=%s)\n",
+              "dispatch_threads=%d streaming=%s)\n",
               server.port(), server.engine().detector().name().c_str(),
               server.engine().graph().num_nodes(),
-              options.engine.num_threads, options.engine.max_batch,
-              options.engine.max_delay_us,
+              options.transport.dispatch_threads,
               options.streaming ? "on" : "off");
   std::fflush(stdout);
 

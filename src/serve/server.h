@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/args.h"
 #include "core/status.h"
 #include "obs/alerts.h"
 #include "obs/drift.h"
@@ -63,7 +64,16 @@ struct ServerOptions {
   MonitorOptions monitor;
 };
 
-/// Builds a ScoringEngine from a bundle + graph file (the batch side of
+/// Usage text for the flags ParseServerOptions accepts, one indented
+/// line group shared by vgod_serve and `vgod_cli serve`.
+extern const char kServerFlagsUsage[];
+
+/// Parses the server flags shared by vgod_serve and `vgod_cli serve`
+/// (docs/SERVING.md). Unknown flags, a missing --bundle/--graph, and
+/// non-positive --max-queue/--dispatch-threads are InvalidArgument.
+Result<ServerOptions> ParseServerOptions(const ArgParser& args);
+
+/// Builds a ScoringEngine from a bundle + graph file (the engine side of
 /// ServerOptions, reusable without the HTTP front end).
 Result<std::unique_ptr<ScoringEngine>> BuildEngine(
     const std::string& bundle_path, const std::string& graph_path,
@@ -87,8 +97,8 @@ Result<std::unique_ptr<ScoringEngine>> BuildEngine(
 ///
 /// Every request gets a monotonic request id at dispatch; the id threads
 /// through the engine's StageTiming, the /score response body, the
-/// structured access log (VGOD_ACCESS_LOG), the slow-request ring, and the
-/// trace ring's flow events (docs/OBSERVABILITY.md "Request lifecycle").
+/// structured access log (VGOD_ACCESS_LOG), and the slow-request ring
+/// (docs/OBSERVABILITY.md "Request lifecycle").
 class ScoringServer {
  public:
   ScoringServer(std::unique_ptr<ScoringEngine> engine, int port,
@@ -100,8 +110,8 @@ class ScoringServer {
   /// Start(); defaults apply otherwise.
   void ConfigureMonitor(MonitorOptions options);
 
-  /// Starts the engine's worker pool, the HTTP listener, the webhook
-  /// notifier, and the model-quality monitor loop.
+  /// Starts the engine, the HTTP listener, the webhook notifier, and the
+  /// model-quality monitor loop.
   Status Start();
 
   /// Graceful shutdown: stops the listener, drains the engine. Idempotent.
@@ -113,9 +123,8 @@ class ScoringServer {
   obs::DriftMonitor& drift() { return *drift_; }
 
  private:
-  /// One response delivery, invoked exactly once, from whichever thread
-  /// completes the request (a transport dispatch worker for inline
-  /// endpoints, an engine batch worker for /score).
+  /// One response delivery, invoked exactly once on the transport
+  /// dispatch worker handling the request.
   using Done = std::function<void(HttpResponse)>;
 
   void Handle(const HttpRequest& request, HttpServer::Responder respond);

@@ -1,7 +1,8 @@
 // Tests for the serving subsystem: model bundles (round-trip and loud
-// failure on corrupt/mismatched files), the micro-batching scoring
-// engine, registry thread-safety, and a concurrent-client smoke test
-// against a live HTTP scoring server.
+// failure on corrupt/mismatched files), the scoring engine's per-snapshot
+// score table and in-flight cap, the shared server flag parser, registry
+// thread-safety, and a concurrent-client smoke test against a live HTTP
+// scoring server.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/args.h"
 #include "core/rng.h"
 #include "datasets/registry.h"
 #include "obs/json.h"
@@ -242,9 +244,7 @@ TEST(ScoringEngineTest, ServedScoresMatchInProcessScore) {
   ASSERT_TRUE(reference.Fit(graph).ok());
   const DetectorOutput expected = reference.Score(graph);
 
-  serve::EngineConfig config;
-  config.num_threads = 2;
-  auto engine = MakeDegNormEngine(graph, config);
+  auto engine = MakeDegNormEngine(graph, {});
   ASSERT_TRUE(engine->Start().ok());
   Result<serve::ScoreResult> result = engine->ScoreNodes({0, 5, 17});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -254,42 +254,42 @@ TEST(ScoringEngineTest, ServedScoresMatchInProcessScore) {
   engine->Shutdown();
 }
 
-TEST(ScoringEngineTest, BatcherFlushesOnSize) {
+TEST(ScoringEngineTest, ConcurrentReadersShareOneScoreCall) {
   AttributedGraph graph = TestGraph();
-  serve::EngineConfig config;
-  config.num_threads = 1;
-  config.max_batch = 3;
-  config.max_delay_us = 10'000'000;  // Effectively never; size must flush.
-  auto engine = MakeDegNormEngine(graph, config);
+  auto engine = MakeDegNormEngine(graph, {});
   ASSERT_TRUE(engine->Start().ok());
+  const DetectorOutput expected = engine->detector().Score(graph);
 
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::future<Result<serve::ScoreResult>>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(engine->SubmitNodes({i}));
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  const double elapsed_s = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-
-  EXPECT_EQ(engine->score_calls(), 1);  // One Score() answered all three.
-  EXPECT_LT(elapsed_s, 5.0);  // Flushed on size, not the 10s deadline.
-  engine->Shutdown();
-}
-
-TEST(ScoringEngineTest, BatcherFlushesOnDeadline) {
-  AttributedGraph graph = TestGraph();
-  serve::EngineConfig config;
-  config.num_threads = 1;
-  config.max_batch = 100;  // Unreachable; the deadline must flush.
-  config.max_delay_us = 30'000;
-  auto engine = MakeDegNormEngine(graph, config);
-  ASSERT_TRUE(engine->Start().ok());
-
-  std::vector<std::future<Result<serve::ScoreResult>>> futures;
-  futures.push_back(engine->SubmitNodes({1}));
-  futures.push_back(engine->SubmitNodes({2}));
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t]() {
+      // Start together so most readers arrive while the table builds.
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      std::vector<int> nodes;
+      for (int node = t; node < graph.num_nodes(); node += kThreads) {
+        nodes.push_back(node);
+      }
+      Result<serve::ScoreResult> result = engine->ScoreNodes(nodes);
+      if (!result.ok()) {
+        mismatches.fetch_add(1);
+        return;
+      }
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        if (result.value().score[i] != expected.score[nodes[i]]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  // One Score() for the snapshot, however many readers asked.
   EXPECT_EQ(engine->score_calls(), 1);
+  EXPECT_EQ(engine->requests_served(), kThreads);
   engine->Shutdown();
 }
 
@@ -335,7 +335,7 @@ TEST(ScoringEngineTest, SubgraphScoringMatchesAndValidatesSchema) {
 }
 
 // A detector whose Score() blocks until the test releases it — used to
-// deterministically fill the bounded queue.
+// hold a call in flight deterministically.
 class BlockingDetector : public OutlierDetector {
  public:
   std::string name() const override { return "Blocking"; }
@@ -377,30 +377,31 @@ class BlockingDetector : public OutlierDetector {
 
 TEST(ScoringEngineTest, StageTimingThreadsThroughRequests) {
   AttributedGraph graph = TestGraph();
-  serve::EngineConfig config;
-  config.num_threads = 1;
-  auto engine = MakeDegNormEngine(graph, config);
+  auto engine = MakeDegNormEngine(graph, {});
   ASSERT_TRUE(engine->Start().ok());
 
-  // Caller-supplied id is echoed back through the timing record.
+  // Caller-supplied id is echoed back through the timing record. The
+  // first read builds the score table, so it pays the Score() call.
   Result<serve::ScoreResult> tagged = engine->ScoreNodes({0, 1}, 12345);
   ASSERT_TRUE(tagged.ok()) << tagged.status().ToString();
   EXPECT_EQ(tagged.value().timing.request_id, 12345u);
-  EXPECT_GE(tagged.value().timing.batch_size, 1);
-  EXPECT_GE(tagged.value().timing.queue_wait_seconds, 0.0);
-  EXPECT_GE(tagged.value().timing.batch_assembly_seconds, 0.0);
+  EXPECT_EQ(tagged.value().timing.queue_wait_seconds, 0.0);
+  EXPECT_EQ(tagged.value().timing.batch_assembly_seconds, 0.0);
   EXPECT_GT(tagged.value().timing.score_seconds, 0.0);
 
-  // With no caller id the engine assigns a nonzero one.
+  // With no caller id the engine assigns a nonzero one. A table hit runs
+  // no Score().
   Result<serve::ScoreResult> assigned = engine->ScoreNodes({2});
   ASSERT_TRUE(assigned.ok());
   EXPECT_GT(assigned.value().timing.request_id, 0u);
+  EXPECT_EQ(assigned.value().timing.score_seconds, 0.0);
+  EXPECT_GE(assigned.value().timing.queue_wait_seconds, 0.0);
 
-  // Subgraph requests time the same stages with batch_size 1.
+  // Subgraph requests run their own Score() inline.
   Result<serve::ScoreResult> subgraph = engine->ScoreGraph(graph, 777);
   ASSERT_TRUE(subgraph.ok());
   EXPECT_EQ(subgraph.value().timing.request_id, 777u);
-  EXPECT_EQ(subgraph.value().timing.batch_size, 1);
+  EXPECT_GT(subgraph.value().timing.score_seconds, 0.0);
 
   // The stage histograms saw every request.
   obs::Histogram* queue_wait = obs::MetricsRegistry::Global().GetHistogram(
@@ -412,55 +413,150 @@ TEST(ScoringEngineTest, StageTimingThreadsThroughRequests) {
   engine->Shutdown();
 
   serve::EngineStats stats = engine->stats();
-  EXPECT_GE(stats.requests_served, 3);
-  EXPECT_GE(stats.batches_flushed, 1);
+  EXPECT_EQ(stats.requests_served, 3);
+  EXPECT_EQ(stats.batches_flushed, 2);  // One table build + one subgraph.
   EXPECT_EQ(stats.shed, 0);
 }
 
-TEST(ScoringEngineTest, FullQueueShedsLoad) {
+TEST(ScoringEngineTest, InFlightCapShedsLoad) {
   AttributedGraph graph = TestGraph();
   auto blocking = std::make_unique<BlockingDetector>();
   const BlockingDetector* control = blocking.get();
   serve::EngineConfig config;
-  config.num_threads = 1;
-  config.max_batch = 1;
   config.max_queue = 1;
   ScoringEngine engine(std::move(blocking), graph, config);
   ASSERT_TRUE(engine.Start().ok());
 
-  // First request occupies the worker (blocked inside Score)...
-  std::future<Result<serve::ScoreResult>> first = engine.SubmitNodes({0});
+  // The first call holds the only in-flight slot (blocked inside the
+  // table build)...
+  Result<serve::ScoreResult> first = Status::Internal("not run");
+  std::thread holder([&]() { first = engine.ScoreNodes({0}); });
   control->WaitForScoreEntry(1);
-  // ...second fills the queue; third must be shed with an error, fast.
-  std::future<Result<serve::ScoreResult>> second = engine.SubmitNodes({1});
-  Result<serve::ScoreResult> shed = engine.SubmitNodes({2}).get();
-  EXPECT_FALSE(shed.ok());
+  // ...so node and subgraph calls alike are shed, fast.
+  Result<serve::ScoreResult> shed = engine.ScoreNodes({1});
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(shed.status().message().find("capacity"), std::string::npos);
+  EXPECT_FALSE(engine.ScoreGraph(graph).ok());
+  EXPECT_EQ(engine.stats().shed, 2);
 
-  control->Release(2);
-  EXPECT_TRUE(first.get().ok());
-  EXPECT_TRUE(second.get().ok());
+  control->Release(1);
+  holder.join();
+  EXPECT_TRUE(first.ok()) << first.status().ToString();
+  // The slot is free again, and the table is already built.
+  EXPECT_TRUE(engine.ScoreNodes({1}).ok());
+  EXPECT_EQ(engine.score_calls(), 1);
   engine.Shutdown();
 }
 
 TEST(ScoringEngineTest, ShutdownDrainsInFlightWork) {
   AttributedGraph graph = TestGraph();
-  serve::EngineConfig config;
-  config.num_threads = 2;
-  config.max_batch = 4;
-  auto engine = MakeDegNormEngine(graph, config);
-  ASSERT_TRUE(engine->Start().ok());
+  auto blocking = std::make_unique<BlockingDetector>();
+  const BlockingDetector* control = blocking.get();
+  ScoringEngine engine(std::move(blocking), graph, {});
+  ASSERT_TRUE(engine.Start().ok());
 
-  std::vector<std::future<Result<serve::ScoreResult>>> futures;
-  for (int i = 0; i < 16; ++i) futures.push_back(engine->SubmitNodes({i}));
-  engine->Shutdown();
-  // Every accepted request resolved (successfully or with a drain error);
-  // none may be abandoned.
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
+  Result<serve::ScoreResult> in_flight = Status::Internal("not run");
+  std::thread caller([&]() { in_flight = engine.ScoreNodes({0}); });
+  control->WaitForScoreEntry(1);
+
+  std::atomic<bool> shutdown_returned{false};
+  std::thread stopper([&]() {
+    engine.Shutdown();
+    shutdown_returned.store(true);
+  });
+  // Shutdown must wait for the call already inside Score()...
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(shutdown_returned.load());
+  std::string reason;
+  EXPECT_FALSE(engine.Ready(&reason));
+  // ...which still completes normally once released.
+  control->Release(1);
+  caller.join();
+  stopper.join();
+  EXPECT_TRUE(shutdown_returned.load());
+  EXPECT_TRUE(in_flight.ok()) << in_flight.status().ToString();
+
+  // Later calls are refused.
+  Result<serve::ScoreResult> after = engine.ScoreNodes({0});
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.ScoreGraph(graph).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// Server flag parsing (shared by vgod_serve and `vgod_cli serve`).
+
+Result<serve::ServerOptions> ParseFlags(std::vector<std::string> flags) {
+  std::vector<const char*> argv = {"vgod_serve"};
+  for (const std::string& flag : flags) argv.push_back(flag.c_str());
+  Result<ArgParser> args =
+      ArgParser::Parse(static_cast<int>(argv.size()), argv.data());
+  if (!args.ok()) return args.status();
+  return serve::ParseServerOptions(args.value());
+}
+
+TEST(ServerOptionsTest, EveryDocumentedFlagParses) {
+  Result<serve::ServerOptions> parsed = ParseFlags(
+      {"--bundle=m.vgodb", "--graph=g.graph", "--port=9090",
+       "--num_threads=2", "--max-queue=7", "--slow-ring=5",
+       "--dispatch-threads=3", "--max-connections=11",
+       "--idle-timeout-ms=1234", "--streaming", "--compact-every=99",
+       "--watchlist-k=4", "--max-events=64", "--alert-rules=rules.json",
+       "--webhook-url=http://127.0.0.1:1/hook", "--monitor-interval=0.5",
+       "--drift-rotate-seconds=3", "--drift-window-buckets=2",
+       "--drift-min-count=8"});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const serve::ServerOptions& options = parsed.value();
+  EXPECT_EQ(options.bundle_path, "m.vgodb");
+  EXPECT_EQ(options.graph_path, "g.graph");
+  EXPECT_EQ(options.port, 9090);
+  EXPECT_EQ(options.engine.intra_op_threads, 2);
+  EXPECT_EQ(options.engine.max_queue, 7);
+  EXPECT_EQ(options.slow_ring, 5);
+  EXPECT_EQ(options.transport.dispatch_threads, 3);
+  EXPECT_EQ(options.transport.max_connections, 11);
+  EXPECT_EQ(options.transport.idle_timeout_ms, 1234);
+  EXPECT_TRUE(options.streaming);
+  EXPECT_EQ(options.stream.compact_every, 99);
+  EXPECT_EQ(options.stream.watchlist_k, 4);
+  EXPECT_EQ(options.stream.max_events_per_batch, 64);
+  EXPECT_EQ(options.alert_rules_path, "rules.json");
+  EXPECT_EQ(options.monitor.webhook_url, "http://127.0.0.1:1/hook");
+  EXPECT_DOUBLE_EQ(options.monitor.interval_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(options.monitor.drift.rotate_seconds, 3.0);
+  EXPECT_EQ(options.monitor.drift.window_buckets, 2);
+  EXPECT_EQ(options.monitor.drift.min_window_count, 8);
+
+  // Defaults apply when only the required flags are given.
+  Result<serve::ServerOptions> defaults =
+      ParseFlags({"--bundle=m.vgodb", "--graph=g.graph"});
+  ASSERT_TRUE(defaults.ok());
+  EXPECT_EQ(defaults.value().slow_ring, 16);
+  EXPECT_EQ(defaults.value().engine.max_queue, 1024);
+  EXPECT_FALSE(defaults.value().streaming);
+}
+
+TEST(ServerOptionsTest, RejectsRemovedAndUnknownFlags) {
+  Result<serve::ServerOptions> removed =
+      ParseFlags({"--bundle=m.vgodb", "--graph=g.graph", "--max-batch=8"});
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(removed.status().message(), "unknown option: --max-batch");
+  for (const char* flag : {"--threads=2", "--max-delay-us=500"}) {
+    EXPECT_FALSE(ParseFlags({"--bundle=m", "--graph=g", flag}).ok()) << flag;
   }
-  Result<serve::ScoreResult> after = engine->ScoreNodes({0});
-  EXPECT_FALSE(after.ok());
+  EXPECT_FALSE(ParseFlags({"--bundle=m", "--graph=g", "--bogus=1"}).ok());
+  EXPECT_FALSE(ParseFlags({"--bundle=m"}).ok());
+  EXPECT_FALSE(ParseFlags({"--bundle=m", "--graph=g", "--max-queue=0"}).ok());
+}
+
+TEST(ServerOptionsTest, SlowRingReachesOptions) {
+  Result<serve::ServerOptions> parsed =
+      ParseFlags({"--bundle=m.vgodb", "--graph=g.graph", "--slow-ring=3"});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().slow_ring, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -879,7 +975,6 @@ TEST(AccessLogTest, RecordJsonRoundTrips) {
   record.path = "/score";
   record.status = 503;
   record.num_nodes = 4;
-  record.batch_size = 2;
   record.shed = true;
   record.error_class = "unavailable";
   record.parse_us = 10;
@@ -897,7 +992,9 @@ TEST(AccessLogTest, RecordJsonRoundTrips) {
   EXPECT_EQ(root.at("path").string_value(), "/score");
   EXPECT_EQ(root.at("status").number(), 503.0);
   EXPECT_EQ(root.at("nodes").number(), 4.0);
-  EXPECT_EQ(root.at("batch_size").number(), 2.0);
+  // The key stays for existing log readers (the engine always fills 0).
+  EXPECT_EQ(root.at("batch_assembly_us").number(), 30.0);
+  EXPECT_FALSE(root.Has("batch_size"));
   EXPECT_TRUE(root.at("shed").boolean());
   EXPECT_EQ(root.at("error_class").string_value(), "unavailable");
   EXPECT_EQ(root.at("queue_wait_us").number(), 20.0);

@@ -355,19 +355,15 @@ TEST(OnlineScorerTest, WatchlistOrderingMatchesScores) {
 // Engine integration.
 
 std::unique_ptr<serve::ScoringEngine> StreamingEngine(
-    const AttributedGraph& graph, serve::StreamingOptions stream_options = {},
-    int num_threads = 2) {
+    const AttributedGraph& graph,
+    serve::StreamingOptions stream_options = {}) {
   detectors::VbmConfig config;
   config.hidden_dim = 8;
   config.epochs = 3;
   auto detector = std::make_unique<detectors::Vbm>(config);
   VGOD_CHECK(detector->Fit(graph).ok());
-  serve::EngineConfig engine_config;
-  engine_config.num_threads = num_threads;
-  engine_config.max_batch = 4;
-  engine_config.max_delay_us = 200;
-  auto engine = std::make_unique<serve::ScoringEngine>(
-      std::move(detector), graph, engine_config);
+  auto engine =
+      std::make_unique<serve::ScoringEngine>(std::move(detector), graph);
   VGOD_CHECK(engine->EnableStreaming(stream_options).ok());
   VGOD_CHECK(engine->Start().ok());
   return engine;
@@ -395,7 +391,7 @@ TEST(EngineStreamingTest, IngestAppliesAndPublishesSnapshots) {
   EXPECT_EQ(applied.value().num_nodes, n + 1);
 
   // The published snapshot reflects the mutation; the appended node is
-  // immediately scoreable through the batch path.
+  // immediately scoreable through the score table.
   EXPECT_TRUE(engine->CurrentGraph()->HasEdge(0, absent_v));
   EXPECT_EQ(engine->CurrentGraph()->num_nodes(), n + 1);
   Result<serve::ScoreResult> scored = engine->ScoreNodes({0, n});
@@ -428,6 +424,52 @@ TEST(EngineStreamingTest, IngestAppliesAndPublishesSnapshots) {
   EXPECT_FALSE(engine->Ingest(batch).ok());
 }
 
+TEST(EngineStreamingTest, ScoreTableFollowsSnapshots) {
+  AttributedGraph graph = StreamTestGraph(50, 37, 12);
+  const int n = graph.num_nodes();
+  std::unique_ptr<serve::ScoringEngine> engine = StreamingEngine(graph);
+  std::vector<int> all(n);
+  for (int node = 0; node < n; ++node) all[node] = node;
+
+  // The table is lazy: nothing is scored until the first read, and
+  // repeated reads of one snapshot share its single Score() call.
+  EXPECT_EQ(engine->score_calls(), 0);
+  ASSERT_TRUE(engine->ScoreNodes({0}).ok());
+  ASSERT_TRUE(engine->ScoreNodes({1, 2}).ok());
+  EXPECT_EQ(engine->score_calls(), 1);
+
+  int absent_v = 2;
+  while (graph.HasEdge(0, absent_v)) absent_v = (absent_v + 1) % n;
+  EventBatch add;
+  add.events.push_back(GraphEvent::AddEdge(0, absent_v));
+  ASSERT_TRUE(engine->Ingest(add).ok());
+  EXPECT_EQ(engine->score_calls(), 1);  // Ingest alone scores nothing.
+  std::weak_ptr<const AttributedGraph> superseded = engine->CurrentGraph();
+
+  // The next read recomputes exactly once, and matches a from-scratch
+  // Score() of the published snapshot bit for bit.
+  Result<serve::ScoreResult> scored = engine->ScoreNodes(all);
+  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+  EXPECT_EQ(engine->score_calls(), 2);
+  const detectors::DetectorOutput expected =
+      engine->detector().Score(*engine->CurrentGraph());
+  for (int node = 0; node < n; ++node) {
+    EXPECT_EQ(scored.value().score[node], expected.score[node]) << node;
+  }
+  ASSERT_TRUE(engine->ScoreNodes({3}).ok());
+  EXPECT_EQ(engine->score_calls(), 2);
+
+  // The table holds scores only, so the next ingest alone frees the
+  // superseded snapshot; the read after it rebuilds the table.
+  EventBatch remove;
+  remove.events.push_back(GraphEvent::RemoveEdge(0, absent_v));
+  ASSERT_TRUE(engine->Ingest(remove).ok());
+  EXPECT_TRUE(superseded.expired());
+  ASSERT_TRUE(engine->ScoreNodes({0}).ok());
+  EXPECT_EQ(engine->score_calls(), 3);
+  engine->Shutdown();
+}
+
 TEST(EngineStreamingTest, IngestRequiresStreamingMode) {
   AttributedGraph graph = StreamTestGraph(40, 41, 12);
   detectors::VbmConfig config;
@@ -453,7 +495,7 @@ TEST(EngineStreamingTest, ConcurrentIngestAndScore) {
   serve::StreamingOptions stream_options;
   stream_options.compact_every = 64;  // Force compactions under load.
   std::unique_ptr<serve::ScoringEngine> engine =
-      StreamingEngine(graph, stream_options, 2);
+      StreamingEngine(graph, stream_options);
 
   constexpr int kIngestThreads = 2;
   constexpr int kScoreThreads = 3;

@@ -36,109 +36,18 @@ Run directly (`python3 tools/check_drift.py --cli build/tools/vgod_cli
 
 import argparse
 import json
-import os
 import random
-import re
-import signal
 import socket
 import subprocess
 import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-ERRORS = []
-
-BANNER_RE = re.compile(r"listening on 127\.0\.0\.1:(\d+)")
-
-
-def fail(message):
-    ERRORS.append(message)
-    print(f"FAIL: {message}", file=sys.stderr)
-
-
-def check(condition, message):
-    if not condition:
-        fail(message)
-    return condition
-
-
-def run(cmd, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    print("+", " ".join(str(c) for c in cmd))
-    proc = subprocess.run(
-        [str(c) for c in cmd], capture_output=True, text=True, env=env,
-        timeout=480)
-    if proc.returncode != 0:
-        fail(f"command failed ({proc.returncode}): {' '.join(map(str, cmd))}\n"
-             f"stdout: {proc.stdout[-2000:]}\nstderr: {proc.stderr[-2000:]}")
-    return proc
-
-
-def http(port, method, path, body=None, timeout=30):
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        data=body.encode() if body is not None else None,
-        method=method,
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, json.loads(reply.read().decode())
-    except urllib.error.HTTPError as error:
-        try:
-            payload = json.loads(error.read().decode())
-        except Exception:
-            payload = None
-        return error.code, payload
-
-
-def http_text(port, path, timeout=30):
-    request = urllib.request.Request(f"http://127.0.0.1:{port}{path}")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, reply.read().decode()
-    except urllib.error.HTTPError as error:
-        return error.code, ""
-
-
-def start_server(serve_bin, flags):
-    proc = subprocess.Popen(
-        [str(serve_bin)] + flags,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    deadline = time.monotonic() + 60
-    port = None
-    lines = []
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        lines.append(line)
-        match = BANNER_RE.search(line)
-        if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        proc.kill()
-        fail(f"vgod_serve never printed its port; output: {''.join(lines)}")
-    return proc, port
-
-
-def stop_server(proc, name):
-    proc.send_signal(signal.SIGTERM)
-    try:
-        proc.wait(timeout=60)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        fail(f"{name} did not exit within 60s of SIGTERM")
-        return
-    check(proc.returncode == 0, f"{name} exited {proc.returncode}")
+from vgodcheck import (check, fail, finish, http, http_text, run,
+                       start_server, stop_server)
 
 
 class WebhookReceiver:
@@ -484,7 +393,7 @@ def check_drift_phase(port, num_nodes, dim, webhook, sse):
           f"alerts.rules gauge is {gauges.get('alerts.rules')}")
     check(gauges.get("alerts.transitions.firing.total", 0) >= 1,
           "alerts.transitions.firing.total did not move")
-    status, text = http_text(port, "/metrics?format=prometheus")
+    status, _, text = http_text(port, "/metrics?format=prometheus")
     check(status == 200 and "drift_score_psi" in text and
           "alerts_firing" in text,
           "prometheus exposition lacks drift_/alerts_ families")
@@ -536,8 +445,8 @@ def check_monitored_server(cli, serve_bin, workdir):
     rules = write_rules(workdir)
     webhook = WebhookReceiver()
     proc, port = start_server(serve_bin, [
-        f"--bundle={bundle}", f"--graph={graph}", "--port=0", "--threads=2",
-        "--streaming", "--watchlist-k=5", "--max-events=64",
+        f"--bundle={bundle}", f"--graph={graph}", "--port=0", "--streaming",
+        "--watchlist-k=5", "--max-events=64",
         f"--alert-rules={rules}",
         f"--webhook-url=http://127.0.0.1:{webhook.port}/hook",
         "--monitor-interval=0.2", "--drift-rotate-seconds=0.5",
@@ -594,7 +503,7 @@ def check_unfingerprinted_bundle(cli, serve_bin, workdir):
 
     rules = write_rules(workdir)
     proc, port = start_server(serve_bin, [
-        f"--bundle={bundle}", f"--graph={graph}", "--port=0", "--threads=2",
+        f"--bundle={bundle}", f"--graph={graph}", "--port=0",
         f"--alert-rules={rules}", "--monitor-interval=0.2",
         "--drift-rotate-seconds=0.5", "--drift-min-count=8"])
     if port is None:
@@ -678,11 +587,8 @@ def main():
                                      workdir)
         check_hostile_rule_configs(Path(args.serve), workdir)
 
-    if ERRORS:
-        print(f"\ncheck_drift: {len(ERRORS)} failure(s)", file=sys.stderr)
-        return 1
-    print("check_drift: all model-quality observability checks passed")
-    return 0
+    return finish("check_drift",
+                  "all model-quality observability checks passed")
 
 
 if __name__ == "__main__":

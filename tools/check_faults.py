@@ -26,67 +26,20 @@ Run directly (`python3 tools/check_faults.py --cli build/tools/vgod_cli
 """
 
 import argparse
-import json
 import os
 import re
-import signal
 import socket
 import subprocess
 import sys
 import tempfile
-import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-ERRORS = []
-
-BANNER_RE = re.compile(r"listening on 127\.0\.0\.1:(\d+)")
-
-
-def fail(message):
-    ERRORS.append(message)
-    print(f"FAIL: {message}", file=sys.stderr)
+import vgodcheck
+from vgodcheck import check, finish, http, run, start_server, stop_server
 
 
-def check(condition, message):
-    if not condition:
-        fail(message)
-    return condition
-
-
-def run(cmd, env_extra=None, expect_code=0):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    print("+", " ".join(str(c) for c in cmd))
-    proc = subprocess.run(
-        [str(c) for c in cmd], capture_output=True, text=True, env=env,
-        timeout=480)
-    if proc.returncode != expect_code:
-        fail(f"expected exit {expect_code}, got {proc.returncode}: "
-             f"{' '.join(map(str, cmd))}\n"
-             f"stdout: {proc.stdout[-2000:]}\nstderr: {proc.stderr[-2000:]}")
-    return proc
-
-
-def http(port, method, path, body=None, timeout=30):
-    """Returns (status, parsed-json-or-None)."""
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        data=body.encode() if body is not None else None,
-        method=method,
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, json.loads(reply.read().decode())
-    except urllib.error.HTTPError as error:
-        try:
-            payload = json.loads(error.read().decode())
-        except Exception:
-            payload = None
-        return error.code, payload
+def server_flags(bundle, graph):
+    return [f"--bundle={bundle}", f"--graph={graph}", "--port=0"]
 
 
 def raw_request(port, payload, timeout=30):
@@ -101,48 +54,6 @@ def raw_request(port, payload, timeout=30):
             pass
     match = re.match(rb"HTTP/1\.1 (\d{3})", response)
     return int(match.group(1)) if match else None
-
-
-def start_server(serve_bin, bundle, graph, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.Popen(
-        [str(serve_bin), f"--bundle={bundle}", f"--graph={graph}",
-         "--port=0", "--threads=2"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
-    deadline = time.monotonic() + 60
-    port = None
-    lines = []
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        lines.append(line)
-        match = BANNER_RE.search(line)
-        if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        proc.kill()
-        fail(f"vgod_serve never printed its port; output: {''.join(lines)}")
-    return proc, port
-
-
-def stop_server(proc, expect_drain=True):
-    proc.send_signal(signal.SIGTERM)
-    try:
-        proc.wait(timeout=60)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        fail("vgod_serve did not exit within 60s of SIGTERM")
-        return
-    check(proc.returncode == 0,
-          f"vgod_serve exited {proc.returncode} after SIGTERM")
-    if expect_drain:
-        tail = proc.stdout.read()
-        check("drained and stopped" in tail,
-              f"vgod_serve did not report a clean drain; tail: {tail[-500:]}")
 
 
 def counters(port):
@@ -173,7 +84,7 @@ def build_artifacts(cli, workdir):
 
 
 def check_hostile_http_sweep(serve_bin, bundle, graph):
-    proc, port = start_server(serve_bin, bundle, graph)
+    proc, port = start_server(serve_bin, server_flags(bundle, graph))
     if port is None:
         return
     try:
@@ -239,11 +150,11 @@ def check_hostile_http_sweep(serve_bin, bundle, graph):
         check(status == 200 and payload and len(payload.get("scores", [])) == 2,
               f"good request after the sweep failed ({status})")
     finally:
-        stop_server(proc)
+        stop_server(proc, expect_drain=True)
 
 
 def check_injected_nan_scores(serve_bin, bundle, graph):
-    proc, port = start_server(serve_bin, bundle, graph,
+    proc, port = start_server(serve_bin, server_flags(bundle, graph),
                               env_extra={"VGOD_FAULTS": "serve.score=nan"})
     if port is None:
         return
@@ -264,7 +175,7 @@ def check_injected_nan_scores(serve_bin, bundle, graph):
               before.get("serve.errors.internal", 0),
               "serve.errors.internal did not move")
     finally:
-        stop_server(proc)
+        stop_server(proc, expect_drain=True)
 
 
 def serve_must_exit_1(serve_bin, bundle, graph, env_extra, context):
@@ -325,17 +236,13 @@ def main():
         workdir = Path(tmp)
         cli, serve_bin = Path(args.cli), Path(args.serve)
         graph, bundle, _ = build_artifacts(cli, workdir)
-        if not ERRORS:
+        if not vgodcheck.ERRORS:
             check_hostile_http_sweep(serve_bin, bundle, graph)
             check_injected_nan_scores(serve_bin, bundle, graph)
             check_startup_failures(serve_bin, bundle, graph, workdir)
             check_cli_eval_hardening(cli, graph, workdir)
 
-    if ERRORS:
-        print(f"\ncheck_faults: {len(ERRORS)} failure(s)", file=sys.stderr)
-        return 1
-    print("check_faults: all crash-proofing checks passed")
-    return 0
+    return finish("check_faults", "all crash-proofing checks passed")
 
 
 if __name__ == "__main__":

@@ -32,108 +32,12 @@ under the `faults` label).
 
 import argparse
 import json
-import os
-import re
-import signal
-import subprocess
 import sys
 import tempfile
-import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-ERRORS = []
-
-BANNER_RE = re.compile(r"listening on 127\.0\.0\.1:(\d+)")
-
-
-def fail(message):
-    ERRORS.append(message)
-    print(f"FAIL: {message}", file=sys.stderr)
-
-
-def check(condition, message):
-    if not condition:
-        fail(message)
-    return condition
-
-
-def run(cmd, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    print("+", " ".join(str(c) for c in cmd))
-    proc = subprocess.run(
-        [str(c) for c in cmd], capture_output=True, text=True, env=env,
-        timeout=480)
-    if proc.returncode != 0:
-        fail(f"command failed ({proc.returncode}): {' '.join(map(str, cmd))}\n"
-             f"stdout: {proc.stdout[-2000:]}\nstderr: {proc.stderr[-2000:]}")
-    return proc
-
-
-def http(port, method, path, body=None, timeout=30):
-    """Returns (status, parsed-json-or-None)."""
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        data=body.encode() if body is not None else None,
-        method=method,
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, json.loads(reply.read().decode())
-    except urllib.error.HTTPError as error:
-        try:
-            payload = json.loads(error.read().decode())
-        except Exception:
-            payload = None
-        return error.code, payload
-
-
-def http_text(port, path, timeout=30):
-    request = urllib.request.Request(f"http://127.0.0.1:{port}{path}")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, reply.read().decode()
-    except urllib.error.HTTPError as error:
-        return error.code, ""
-
-
-def start_server(serve_bin, bundle, graph, extra_flags):
-    proc = subprocess.Popen(
-        [str(serve_bin), f"--bundle={bundle}", f"--graph={graph}",
-         "--port=0", "--threads=2", "--max-batch=4", "--max-delay-us=500"]
-        + extra_flags,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    deadline = time.monotonic() + 60
-    port = None
-    lines = []
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        lines.append(line)
-        match = BANNER_RE.search(line)
-        if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        proc.kill()
-        fail(f"vgod_serve never printed its port; output: {''.join(lines)}")
-    return proc, port
-
-
-def stop_server(proc, name):
-    proc.send_signal(signal.SIGTERM)
-    try:
-        proc.wait(timeout=60)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        fail(f"{name} did not exit within 60s of SIGTERM")
-        return
-    check(proc.returncode == 0, f"{name} exited {proc.returncode}")
+from vgodcheck import (check, finish, http, http_text, run, start_server,
+                       stop_server)
 
 
 def ingest(port, events, compact=None):
@@ -335,7 +239,7 @@ def check_stream_metrics(port):
 
     # Prometheus exposition agrees with the JSON export on the stream
     # counters (none of which move on a metrics scrape itself).
-    status, text = http_text(port, "/metrics?format=prometheus")
+    status, _, text = http_text(port, "/metrics?format=prometheus")
     if not check(status == 200, f"prometheus export returned {status}"):
         return
     samples = {}
@@ -370,9 +274,9 @@ def check_streaming_server(cli, serve_bin, workdir):
         return
 
     proc, port = start_server(
-        serve_bin, bundle, graph,
-        ["--streaming", "--watchlist-k=5", "--compact-every=1000",
-         "--max-events=64"])
+        serve_bin, [f"--bundle={bundle}", f"--graph={graph}", "--port=0",
+                    "--streaming", "--watchlist-k=5", "--compact-every=1000",
+                    "--max-events=64"])
     if port is None:
         return
     try:
@@ -409,7 +313,8 @@ def check_streaming_server(cli, serve_bin, workdir):
 def check_non_streaming_server(cli, serve_bin, workdir):
     graph = workdir / "stream.graph"
     bundle = workdir / "stream_model.vgodb"
-    proc, port = start_server(serve_bin, bundle, graph, [])
+    proc, port = start_server(
+        serve_bin, [f"--bundle={bundle}", f"--graph={graph}", "--port=0"])
     if port is None:
         return
     try:
@@ -443,11 +348,7 @@ def main():
         check_streaming_server(Path(args.cli), Path(args.serve), workdir)
         check_non_streaming_server(Path(args.cli), Path(args.serve), workdir)
 
-    if ERRORS:
-        print(f"\ncheck_ingest: {len(ERRORS)} failure(s)", file=sys.stderr)
-        return 1
-    print("check_ingest: all streaming ingest checks passed")
-    return 0
+    return finish("check_ingest", "all streaming ingest checks passed")
 
 
 if __name__ == "__main__":

@@ -35,8 +35,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import check_bench
-from check_bench import ERRORS, check, check_band_map, fail, matrix_metrics
+from check_bench import check_band_map, matrix_metrics
+from vgodcheck import ERRORS, check, fail, finish
+
+VERDICT = ("leaderboard is valid, deterministic, inside the committed bands, "
+           "and isolates cell failures")
 
 CELL_STATUSES = {"ok", "failed", "timeout"}
 
@@ -271,7 +274,7 @@ def main():
         tmp = Path(tmp)
         board = run_matrix(args.runner, args.spec, tmp / "leaderboard.json")
         if board is None:
-            return finish()
+            return finish("check_matrix", VERDICT)
         validate_schema(board, spec)
 
         # Determinism: a --no-timing artifact must be byte-identical at
@@ -295,16 +298,7 @@ def main():
             check_perturbation_rejected(board, baselines)
 
         check_fault_isolation(args.runner, tmp)
-    return finish()
-
-
-def finish():
-    if ERRORS:
-        print(f"\ncheck_matrix: {len(ERRORS)} failure(s)", file=sys.stderr)
-        return 1
-    print("check_matrix: leaderboard is valid, deterministic, inside the "
-          "committed bands, and isolates cell failures")
-    return 0
+    return finish("check_matrix", VERDICT)
 
 
 if __name__ == "__main__":

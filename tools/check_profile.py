@@ -9,7 +9,9 @@ Exercises both profiler surfaces:
      node: sum of child inclusive_ns <= parent inclusive_ns, with
      exclusive_ns the exact remainder. The tree must contain the
      detector/kernel scopes the instrumentation promises.
-  2. A live `vgod_serve` under concurrent /score traffic must answer
+  2. A live `vgod_serve --streaming` under concurrent ingest-then-score
+     traffic (each /score lands on a fresh snapshot, so it runs a
+     full-graph Score()) must answer
      GET /debug/profile?seconds=N with a windowed capture in which the
      serve/score subtree exists and >= 90% of its inclusive time is
      attributed to named child scopes (detector/graph/kernel/gnn regions)
@@ -23,62 +25,16 @@ check_profile).
 
 import argparse
 import json
-import os
 import re
-import signal
-import subprocess
 import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-ERRORS = []
+from vgodcheck import check, finish, http, run, start_server, stop_server
 
-BANNER_RE = re.compile(r"listening on 127\.0\.0\.1:(\d+)")
 FOLDED_LINE_RE = re.compile(r"^[^ ;]+(;[^ ;]+)* \d+$")
-
-
-def fail(message):
-    ERRORS.append(message)
-    print(f"FAIL: {message}", file=sys.stderr)
-
-
-def check(condition, message):
-    if not condition:
-        fail(message)
-    return condition
-
-
-def run(cmd, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    print("+", " ".join(str(c) for c in cmd))
-    proc = subprocess.run(
-        [str(c) for c in cmd], capture_output=True, text=True, env=env,
-        timeout=480)
-    if proc.returncode != 0:
-        fail(f"command failed ({proc.returncode}): {' '.join(map(str, cmd))}\n"
-             f"stdout: {proc.stdout[-2000:]}\nstderr: {proc.stderr[-2000:]}")
-    return proc
-
-
-def http(port, method, path, body=None, timeout=90):
-    """Returns (status, body-text)."""
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        data=body.encode() if body is not None else None,
-        method=method,
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, reply.read().decode()
-    except urllib.error.HTTPError as error:
-        return error.code, error.read().decode()
 
 
 # --- call-tree checks ---------------------------------------------------
@@ -178,33 +134,16 @@ def check_cli_profile(cli, workdir):
 # --- /debug/profile against a live server ------------------------------
 
 
-def start_server(serve_bin, bundle, graph):
-    proc = subprocess.Popen(
-        [str(serve_bin), f"--bundle={bundle}", f"--graph={graph}",
-         "--port=0", "--threads=2", "--max-batch=4", "--max-delay-us=500"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    deadline = time.monotonic() + 60
-    port = None
-    lines = []
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        lines.append(line)
-        match = BANNER_RE.search(line)
-        if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        proc.kill()
-        fail(f"vgod_serve never printed its port; output: {''.join(lines)}")
-    return proc, port
-
-
-def score_loop(port, stop_event):
+def score_loop(port, dim, stop_event):
+    """Ingest-then-score traffic: each /score lands on a freshly published
+    snapshot, so it pays one full-graph detector Score() (a static graph
+    would be scored once and then answered from the score table)."""
     body = json.dumps({"nodes": [0, 1, 2, 3, 4, 5, 6, 7]})
+    update = json.dumps({"events": [
+        {"op": "update_attributes", "node": 0, "attributes": [0.5] * dim}]})
     while not stop_event.is_set():
         try:
+            http(port, "POST", "/ingest", update, timeout=30)
             http(port, "POST", "/score", body, timeout=30)
         except Exception:
             time.sleep(0.05)
@@ -218,7 +157,9 @@ def check_serve_profile(cli, serve_bin, workdir):
     run([cli, "detect", f"--graph={graph}", "--detector=VBM",
          "--epoch-scale=0.05", "--seed=7", f"--save-bundle={bundle}"])
 
-    proc, port = start_server(serve_bin, bundle, graph)
+    proc, port = start_server(serve_bin, [f"--bundle={bundle}",
+                                          f"--graph={graph}", "--port=0",
+                                          "--streaming"])
     if port is None:
         return
     try:
@@ -237,14 +178,17 @@ def check_serve_profile(cli, serve_bin, workdir):
 
         # Windowed capture under concurrent scoring traffic.
         stop_event = threading.Event()
+        _, health = http(port, "GET", "/healthz")
+        dim = (health or {}).get("attribute_dim", 0)
         clients = [threading.Thread(target=score_loop,
-                                    args=(port, stop_event))
+                                    args=(port, dim, stop_event))
                    for _ in range(3)]
         for client in clients:
             client.start()
         time.sleep(0.3)  # let traffic reach steady state
         try:
-            status, text = http(port, "GET", "/debug/profile?seconds=2")
+            status, text = http(port, "GET", "/debug/profile?seconds=2",
+                                timeout=90, as_json=False)
         finally:
             stop_event.set()
             for client in clients:
@@ -277,7 +221,8 @@ def check_serve_profile(cli, serve_bin, workdir):
 
         # Folded variant of the same endpoint.
         status, text = http(port, "GET",
-                            "/debug/profile?seconds=1&format=folded")
+                            "/debug/profile?seconds=1&format=folded",
+                            timeout=90, as_json=False)
         if check(status == 200, f"folded window returned {status}"):
             check_folded(text, "serve folded")
 
@@ -287,12 +232,7 @@ def check_serve_profile(cli, serve_bin, workdir):
         status, text = http(port, "GET", "/metrics")
         check(status == 200, "server unhealthy after profile windows")
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            fail("vgod_serve did not exit after SIGTERM")
+        stop_server(proc)
 
 
 def main():
@@ -306,11 +246,8 @@ def main():
         check_cli_profile(Path(args.cli), workdir)
         check_serve_profile(Path(args.cli), Path(args.serve), workdir)
 
-    if ERRORS:
-        print(f"\ncheck_profile: {len(ERRORS)} failure(s)", file=sys.stderr)
-        return 1
-    print("check_profile: profiler exports and /debug/profile are healthy")
-    return 0
+    return finish("check_profile",
+                  "profiler exports and /debug/profile are healthy")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ Drives the full deployment loop documented in docs/SERVING.md:
      bound port.
   4. Concurrent HTTP clients hit POST /score; responses must match the
      training-time scores. GET /healthz and GET /metrics are validated
-     (the serve.* counters and latency histograms must have moved), and a
-     malformed request must produce a 4xx, not a crash.
+     (the serve.* counters and latency histograms must have moved, and
+     the whole run must cost one detector Score() call), and a malformed
+     request must produce a 4xx, not a crash.
   5. Request-scoped observability: every /score response's request_id
      must appear in the VGOD_ACCESS_LOG JSON log (one well-formed line
      per request, ids strictly increasing), the serve.stage.* histograms
@@ -24,9 +25,10 @@ Drives the full deployment loop documented in docs/SERVING.md:
      serve.transport.open_connections gauge must drain back to zero
      (the epoll reactor never spawns per-connection threads).
   7. SIGTERM must drain and exit 0.
-  8. `serve_loadgen --json` runs two-plus thread x batch configurations;
-     the JSON report must carry sane p50/p99/throughput numbers plus
-     per-stage quantiles.
+  8. `serve_loadgen --json` runs two-plus client concurrency levels; the
+     JSON report must carry sane p50/p99/throughput numbers plus per-stage
+     quantiles, and each level must cost exactly one Score() call (one
+     score table per snapshot, and the graph is static).
 
 Run directly (`python3 tools/check_serve.py --cli build/tools/vgod_cli
 --serve build/tools/vgod_serve --loadgen build/bench/serve_loadgen`) or
@@ -37,103 +39,15 @@ import argparse
 import json
 import os
 import re
-import signal
 import socket
-import subprocess
 import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-ERRORS = []
-
-BANNER_RE = re.compile(r"listening on 127\.0\.0\.1:(\d+)")
-
-
-def fail(message):
-    ERRORS.append(message)
-    print(f"FAIL: {message}", file=sys.stderr)
-
-
-def check(condition, message):
-    if not condition:
-        fail(message)
-    return condition
-
-
-def run(cmd, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    print("+", " ".join(str(c) for c in cmd))
-    proc = subprocess.run(
-        [str(c) for c in cmd], capture_output=True, text=True, env=env,
-        timeout=480)
-    if proc.returncode != 0:
-        fail(f"command failed ({proc.returncode}): {' '.join(map(str, cmd))}\n"
-             f"stdout: {proc.stdout[-2000:]}\nstderr: {proc.stderr[-2000:]}")
-    return proc
-
-
-def http(port, method, path, body=None, timeout=30):
-    """Returns (status, parsed-json-or-None)."""
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        data=body.encode() if body is not None else None,
-        method=method,
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, json.loads(reply.read().decode())
-    except urllib.error.HTTPError as error:
-        try:
-            payload = json.loads(error.read().decode())
-        except Exception:
-            payload = None
-        return error.code, payload
-
-
-def http_text(port, path, timeout=30):
-    """Returns (status, content-type, body-text) without JSON parsing."""
-    request = urllib.request.Request(f"http://127.0.0.1:{port}{path}")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return (reply.status, reply.headers.get("Content-Type", ""),
-                    reply.read().decode())
-    except urllib.error.HTTPError as error:
-        return error.code, error.headers.get("Content-Type", ""), ""
-
-
-def start_server(serve_bin, bundle, graph, access_log=None):
-    env = dict(os.environ)
-    if access_log is not None:
-        env["VGOD_ACCESS_LOG"] = str(access_log)
-    proc = subprocess.Popen(
-        [str(serve_bin), f"--bundle={bundle}", f"--graph={graph}",
-         "--port=0", "--threads=2", "--max-batch=4", "--max-delay-us=500",
-         "--slow-ring=8"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
-    deadline = time.monotonic() + 60
-    port = None
-    lines = []
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        lines.append(line)
-        match = BANNER_RE.search(line)
-        if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        proc.kill()
-        fail(f"vgod_serve never printed its port; output: {''.join(lines)}")
-    return proc, port
-
+from vgodcheck import (check, fail, finish, http, http_text, run,
+                       start_server, stop_server)
 
 PROM_SAMPLE_RE = re.compile(
     r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (\S+)$')
@@ -210,7 +124,7 @@ def check_prometheus(port, json_metrics):
             check(samples.get(prom_name) == want,
                   f"{prom_name} is {samples.get(prom_name)} in prometheus "
                   f"but {json_name} is {want} in JSON")
-        for stage in ("queue_wait", "batch_assembly", "score"):
+        for stage in ("queue_wait", "score"):
             prom = f"serve_stage_{stage}_seconds_count"
             check(samples.get(prom, 0) >= 4,
                   f"{prom} missing or empty in prometheus export")
@@ -310,7 +224,7 @@ def check_access_log(access_log, seen_request_ids):
           f"access log request ids are not unique: {sorted(ids)}")
     check(max(ids) - min(ids) + 1 >= len(ids),
           "access log ids are denser than a monotonic counter allows")
-    required = {"id", "path", "status", "nodes", "batch_size", "shed",
+    required = {"id", "path", "status", "nodes", "shed",
                 "error_class", "parse_us", "queue_wait_us",
                 "batch_assembly_us", "score_us", "serialize_us", "total_us",
                 "tensor_peak_bytes"}
@@ -326,11 +240,15 @@ def check_access_log(access_log, seen_request_ids):
               if r.get("path") == "/score" and r.get("status") == 200]
     check(len(scored) >= len(seen_request_ids),
           "access log has fewer successful /score lines than clients saw")
+    # Only the request that built the score table ran Score(); the others
+    # waited on it or looked it up.
+    check(any(record.get("score_us", 0) > 0 for record in scored),
+          "no successful /score line has a score stage")
     for record in scored:
         check(record.get("total_us", 0) > 0,
               f"successful /score line has no total latency: {record}")
-        check(record.get("score_us", 0) > 0,
-              f"successful /score line has no score stage: {record}")
+        check(record.get("batch_assembly_us", -1) == 0,
+              f"batch_assembly_us must read 0 (no batching): {record}")
         stage_sum = sum(record.get(k, 0) for k in
                         ("parse_us", "queue_wait_us", "batch_assembly_us",
                          "score_us", "serialize_us"))
@@ -360,7 +278,10 @@ def check_serving(cli, serve_bin, workdir):
     check(len(expected) > 0, "detect wrote an empty score file")
 
     access_log = workdir / "access.jsonl"
-    proc, port = start_server(serve_bin, bundle, graph, access_log)
+    proc, port = start_server(
+        serve_bin, [f"--bundle={bundle}", f"--graph={graph}", "--port=0",
+                    "--slow-ring=8"],
+        env_extra={"VGOD_ACCESS_LOG": str(access_log)})
     if port is None:
         return
     seen_request_ids = []
@@ -433,20 +354,22 @@ def check_serving(cli, serve_bin, workdir):
                 "serve.request.latency.seconds")
             check(latency is not None and latency.get("count", 0) >= 4,
                   "serve.request.latency.seconds histogram did not move")
-            batch = metrics["histograms"].get("serve.batch.size")
-            check(batch is not None and batch.get("count", 0) >= 1,
-                  "serve.batch.size histogram did not move")
+            # One score table per snapshot: on the static graph every
+            # node request above shares a single detector Score() call.
+            flushed = metrics["gauges"].get("serve.engine.batches_flushed")
+            check(flushed == 1,
+                  f"serve.engine.batches_flushed is {flushed}, want exactly "
+                  f"1 Score() call on a static graph")
 
             # Stage histograms: every stage populated, and the engine-side
             # stages decompose (a subset of) the end-to-end latency.
             stage_sum = 0.0
-            for stage in ("queue_wait", "batch_assembly", "score", "parse",
-                          "serialize"):
+            for stage in ("queue_wait", "score", "parse", "serialize"):
                 hist = metrics["histograms"].get(
                     f"serve.stage.{stage}.seconds")
                 if check(hist is not None and hist.get("count", 0) >= 4,
                          f"serve.stage.{stage}.seconds did not move"):
-                    if stage in ("queue_wait", "batch_assembly", "score"):
+                    if stage in ("queue_wait", "score"):
                         stage_sum += hist.get("sum", 0.0)
             latency_sum = latency.get("sum", 0.0) if latency else 0.0
             check(stage_sum <= latency_sum * 1.01 + 1e-6,
@@ -473,17 +396,7 @@ def check_serving(cli, serve_bin, workdir):
 
         check_connection_churn(proc, port)
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            fail("vgod_serve did not exit within 60s of SIGTERM")
-    check(proc.returncode == 0,
-          f"vgod_serve exited {proc.returncode} after SIGTERM")
-    tail = proc.stdout.read()
-    check("drained and stopped" in tail,
-          f"vgod_serve did not report a clean drain; tail: {tail[-500:]}")
+        stop_server(proc, expect_drain=True)
     check_access_log(access_log, seen_request_ids)
 
 
@@ -501,17 +414,14 @@ def check_loadgen(loadgen, workdir):
     if not check(len(configs) >= 2,
                  f"loadgen must cover >= 2 configs, got {len(configs)}"):
         return
-    combos = {(c.get("threads"), c.get("max_batch")) for c in configs}
-    check(len(combos) >= 2, "loadgen configs are not distinct")
-    check(len({c.get("threads") for c in configs}) >= 2,
-          "loadgen must vary the thread count")
-    check(len({c.get("max_batch") for c in configs}) >= 2,
-          "loadgen must vary the batch size")
+    check(len({c.get("clients") for c in configs}) == len(configs),
+          "loadgen must vary the client concurrency")
     for config in configs:
-        tag = f"t{config.get('threads')}b{config.get('max_batch')}"
+        tag = f"c{config.get('clients')}"
         check(config.get("requests", 0) > 0, f"{tag}: no requests recorded")
-        check(0 < config.get("score_calls", 0) <= config.get("requests", 0),
-              f"{tag}: score_calls outside (0, requests]")
+        check(config.get("score_calls") == 1,
+              f"{tag}: score_calls is {config.get('score_calls')}, want 1 "
+              f"per static-graph run")
         p50, p99 = config.get("p50_ms", -1), config.get("p99_ms", -1)
         check(0 < p50 <= p99, f"{tag}: bad latency quantiles p50={p50} "
                               f"p99={p99}")
@@ -520,7 +430,7 @@ def check_loadgen(loadgen, workdir):
               f"{tag}: engine histogram p50 missing")
         stages = config.get("stages")
         if check(isinstance(stages, dict) and
-                 {"queue_wait", "batch_assembly", "score"} <= set(stages),
+                 {"queue_wait", "score"} <= set(stages),
                  f"{tag}: report lacks per-stage quantiles"):
             for stage_name, quantiles in stages.items():
                 s50 = quantiles.get("p50_ms", -1)
@@ -542,11 +452,7 @@ def main():
         check_serving(Path(args.cli), Path(args.serve), workdir)
         check_loadgen(Path(args.loadgen), workdir)
 
-    if ERRORS:
-        print(f"\ncheck_serve: {len(ERRORS)} failure(s)", file=sys.stderr)
-        return 1
-    print("check_serve: all serving checks passed")
-    return 0
+    return finish("check_serve", "all serving checks passed")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from vgodcheck import check, fail, finish
+
 EPOCH_RECORD_KEYS = {
     "detector": str,
     "epoch": int,
@@ -40,19 +42,6 @@ EPOCH_RECORD_KEYS = {
 LOG_EPOCH_RE = re.compile(
     r"(?P<detector>\S+) epoch (?P<epoch>\d+)/(?P<planned>\d+) "
     r"loss=(?P<loss>[-+0-9.eEinfa]+) grad_norm=")
-
-ERRORS = []
-
-
-def fail(message):
-    ERRORS.append(message)
-    print(f"FAIL: {message}", file=sys.stderr)
-
-
-def check(condition, message):
-    if not condition:
-        fail(message)
-    return condition
 
 
 def run(cmd, env_extra=None):
@@ -183,11 +172,7 @@ def main():
         if records:
             validate_trace(trace, args.detector, len(records))
 
-    if ERRORS:
-        print(f"check_telemetry: {len(ERRORS)} error(s)", file=sys.stderr)
-        return 1
-    print("check_telemetry: all artifacts consistent")
-    return 0
+    return finish("check_telemetry", "all artifacts consistent")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,7 @@
 //   vgod_cli eval --graph=g.graph --scores=scores.tsv
 //   vgod_cli export-bundle --model=prefix --detector=VGOD --output=m.vgodb
 //   vgod_cli serve --bundle=m.vgodb --graph=g.graph [--port=8080]
-//            [--threads=2] [--num_threads=N] [--max-batch=8]
-//            [--max-delay-us=1000]
+//            [--num_threads=N] [--max-queue=1024] ... (the vgod_serve flags)
 //
 // `generate` writes a simulated benchmark dataset (optionally with
 // injected outliers); `detect` trains a detector and prints/stores scores
@@ -78,16 +77,8 @@ int Usage() {
       "  eval          --graph=PATH --scores=PATH\n"
       "  export-bundle --model=PREFIX --detector=NAME --output=PATH "
       "[--self-loop] [--row-normalize]\n"
-      "  serve         --bundle=PATH --graph=PATH [--port=N] "
-      "[--threads=N] [--num_threads=N]\n"
-      "                [--max-batch=N] [--max-delay-us=N] "
-      "[--max-queue=N] [--streaming]\n"
-      "                [--compact-every=N] [--watchlist-k=N] "
-      "[--max-events=N]\n"
-      "                [--alert-rules=PATH] [--webhook-url=URL] "
-      "[--monitor-interval=S]\n"
-      "                [--drift-rotate-seconds=S] "
-      "[--drift-window-buckets=N] [--drift-min-count=N]\n");
+      "  serve (the vgod_serve flags):\n%s",
+      serve::kServerFlagsUsage);
   return 2;
 }
 
@@ -408,55 +399,14 @@ void HandleServeSignal(int) {
 }
 
 int RunServe(const ArgParser& args) {
-  Status valid = args.Validate({"bundle", "graph", "port", "threads",
-                                "num_threads", "max-batch", "max-delay-us",
-                                "max-queue", "streaming", "compact-every",
-                                "watchlist-k", "max-events",
-                                "max-connections", "idle-timeout-ms",
-                                "dispatch-threads", "alert-rules",
-                                "webhook-url", "monitor-interval",
-                                "drift-rotate-seconds",
-                                "drift-window-buckets", "drift-min-count"});
-  if (!valid.ok()) return Fail(valid);
-  serve::ServerOptions options;
-  options.bundle_path = args.GetString("bundle", "");
-  options.graph_path = args.GetString("graph", "");
-  if (options.bundle_path.empty() || options.graph_path.empty()) {
+  Result<serve::ServerOptions> options = serve::ParseServerOptions(args);
+  if (!options.ok()) {
+    Fail(options.status());
     return Usage();
   }
-  options.port = static_cast<int>(args.GetInt("port", 8080));
-  options.engine.num_threads = static_cast<int>(args.GetInt("threads", 2));
-  options.engine.intra_op_threads =
-      static_cast<int>(args.GetInt("num_threads", 0));
-  options.engine.max_batch = static_cast<int>(args.GetInt("max-batch", 8));
-  options.engine.max_delay_us =
-      static_cast<int>(args.GetInt("max-delay-us", 1000));
-  options.engine.max_queue =
-      static_cast<int>(args.GetInt("max-queue", 1024));
-  options.streaming = args.GetBool("streaming");
-  options.stream.compact_every =
-      static_cast<int>(args.GetInt("compact-every", 4096));
-  options.stream.watchlist_k =
-      static_cast<int>(args.GetInt("watchlist-k", 10));
-  options.stream.max_events_per_batch =
-      static_cast<int>(args.GetInt("max-events", 4096));
-  options.transport.max_connections =
-      static_cast<int>(args.GetInt("max-connections", 1024));
-  options.transport.idle_timeout_ms =
-      static_cast<int>(args.GetInt("idle-timeout-ms", 30000));
-  options.transport.dispatch_threads =
-      static_cast<int>(args.GetInt("dispatch-threads", 4));
-  options.alert_rules_path = args.GetString("alert-rules", "");
-  options.monitor.webhook_url = args.GetString("webhook-url", "");
-  options.monitor.interval_seconds = args.GetDouble("monitor-interval", 2.0);
-  options.monitor.drift.rotate_seconds =
-      args.GetDouble("drift-rotate-seconds", 10.0);
-  options.monitor.drift.window_buckets =
-      static_cast<int>(args.GetInt("drift-window-buckets", 6));
-  options.monitor.drift.min_window_count = args.GetInt("drift-min-count", 32);
   std::signal(SIGINT, HandleServeSignal);
   std::signal(SIGTERM, HandleServeSignal);
-  return serve::RunServer(options, &g_serve_stop);
+  return serve::RunServer(options.value(), &g_serve_stop);
 }
 
 int Main(int argc, const char* const* argv) {
