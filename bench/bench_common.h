@@ -19,13 +19,14 @@ namespace vgod::bench {
 //   VGOD_BENCH_EPOCH_SCALE multiplier on every model's epoch budget
 //                          (default 1.0; use ~0.2 for a quick smoke run)
 //   VGOD_BENCH_MANIFEST    path for a per-run JSON manifest (artifact,
-//                          scale/seed knobs, recorded results, and — when
-//                          VGOD_TRACE is on — per-span timing totals).
-//                          Written at process exit; unset = no manifest.
+//                          scale/seed knobs, recorded results). Written at
+//                          process exit; unset = no manifest.
 //   VGOD_LOG_LEVEL         log threshold override (core/logging.h); bench
 //                          binaries default to "warning"
-//   VGOD_TRACE             enable trace spans (obs/trace.h); a path-like
-//                          value also sets the export destination
+//   VGOD_TRACE             turn on the scope timeline (obs/trace.h)
+//   VGOD_PROFILE           turn on the scope call tree (obs/profile.h)
+//                          For both, a value containing '/' or '.' is also
+//                          the file written at process exit.
 
 double EnvScale();
 uint64_t EnvSeed();
@@ -67,9 +68,14 @@ detectors::DetectorOptions OptionsFor(const UnodCase& unod_case,
 
 /// Prints the standard bench banner: which paper artifact this regenerates
 /// and the active scale/seed knobs. Also applies VGOD_LOG_LEVEL (fallback:
-/// warning), arms tracing from VGOD_TRACE, and — when VGOD_BENCH_MANIFEST
-/// is set — registers the manifest writer to run at process exit.
+/// warning), arms the timeline from VGOD_TRACE and the call tree from
+/// VGOD_PROFILE, and registers an at-exit writer for the manifest, trace
+/// and profile files that are configured.
 void PrintBanner(const std::string& artifact, const std::string& what);
+
+/// Sample percentile: sorts `samples_ms` in place and returns the element
+/// at rank floor(q * n) (clamped to the last), or 0 when empty.
+double PercentileMs(std::vector<double>* samples_ms, double q);
 
 /// Adds one named result (typically an AUC or a timing) to the run
 /// manifest. Safe to call unconditionally: a no-op without

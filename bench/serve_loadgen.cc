@@ -68,22 +68,13 @@ struct ConfigResult {
   StageQuantiles score;
 };
 
-StageQuantiles StageFromRegistry(const char* name) {
-  obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
-      name, obs::DefaultLatencyBounds());
+StageQuantiles RegistryQuantiles(const char* name) {
+  const obs::QuantileSketch* histogram =
+      obs::MetricsRegistry::Global().GetHistogram(name);
   StageQuantiles out;
-  out.p50_ms = obs::HistogramQuantile(*histogram, 0.5) * 1e3;
-  out.p99_ms = obs::HistogramQuantile(*histogram, 0.99) * 1e3;
+  out.p50_ms = histogram->Quantile(0.5) * 1e3;
+  out.p99_ms = histogram->Quantile(0.99) * 1e3;
   return out;
-}
-
-double PercentileMs(std::vector<double>* sorted_ms, double q) {
-  if (sorted_ms->empty()) return 0.0;
-  std::sort(sorted_ms->begin(), sorted_ms->end());
-  const size_t n = sorted_ms->size();
-  size_t index = static_cast<size_t>(q * static_cast<double>(n));
-  if (index >= n) index = n - 1;
-  return (*sorted_ms)[index];
 }
 
 struct HttpModeResult {
@@ -186,12 +177,12 @@ ConfigResult RunConfig(const detectors::ModelBundle& bundle,
   out.p99_ms = h.p99_ms;
   out.mean_ms = h.mean_ms;
   out.throughput_rps = h.throughput_rps;
-  obs::Histogram* latency = obs::MetricsRegistry::Global().GetHistogram(
-      "serve.request.latency.seconds", obs::DefaultLatencyBounds());
-  out.engine_p50_ms = obs::HistogramQuantile(*latency, 0.5) * 1e3;
-  out.engine_p99_ms = obs::HistogramQuantile(*latency, 0.99) * 1e3;
-  out.queue_wait = StageFromRegistry("serve.stage.queue_wait.seconds");
-  out.score = StageFromRegistry("serve.stage.score.seconds");
+  const StageQuantiles engine =
+      RegistryQuantiles("serve.request.latency.seconds");
+  out.engine_p50_ms = engine.p50_ms;
+  out.engine_p99_ms = engine.p99_ms;
+  out.queue_wait = RegistryQuantiles("serve.stage.queue_wait.seconds");
+  out.score = RegistryQuantiles("serve.stage.score.seconds");
   server.Stop();
   out.score_calls = server.engine().score_calls();
   return out;

@@ -62,15 +62,6 @@
 namespace vgod::bench {
 namespace {
 
-double PercentileMs(std::vector<double>* sorted_ms, double q) {
-  if (sorted_ms->empty()) return 0.0;
-  std::sort(sorted_ms->begin(), sorted_ms->end());
-  const size_t n = sorted_ms->size();
-  size_t index = static_cast<size_t>(q * static_cast<double>(n));
-  if (index >= n) index = n - 1;
-  return (*sorted_ms)[index];
-}
-
 struct MixedResult {
   int64_t events = 0;
   int64_t batches = 0;

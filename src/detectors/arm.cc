@@ -5,7 +5,6 @@
 #include "detectors/serialize.h"
 #include "graph/graph_ops.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "tensor/optimizer.h"
 
 namespace vgod::detectors {
@@ -79,7 +78,6 @@ Status Arm::Fit(const AttributedGraph& graph) {
   Adam optimizer(Parameters(), config_.lr);
   DivergenceGuard guard(Parameters());
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("arm/epoch");
     Variable reconstructed = Reconstruct(message_graph, attributes);
     // Eq. 17-18: minimize the mean per-node squared error.
     Variable loss =

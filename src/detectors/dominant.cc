@@ -2,7 +2,6 @@
 
 #include "graph/graph_ops.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "tensor/optimizer.h"
 
 namespace vgod::detectors {
@@ -50,7 +49,6 @@ Status Dominant::Fit(const AttributedGraph& graph) {
   Adam optimizer(params, config_.lr);
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("dominant/epoch");
     Forward forward = RunForward(message_graph, graph.attributes());
     Variable attr_loss = ag::MeanAll(
         ag::RowSquaredDistance(forward.attribute_reconstruction, attr_target));

@@ -11,7 +11,6 @@
 #include "graph/graph_ops.h"
 #include "graph/sampling.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "tensor/functional.h"
 
 namespace vgod::detectors {
@@ -181,7 +180,6 @@ Status Vbm::Fit(const AttributedGraph& graph) {
   Adam optimizer(transform_->Parameters(), config_.lr);
   DivergenceGuard guard(transform_->Parameters());
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("vbm/epoch");
     double epoch_loss = 0.0;
     if (config_.batch_size > 0) {
       epoch_loss = RunMiniBatchEpoch(graph, attributes, &optimizer, &rng);

@@ -3,7 +3,6 @@
 #include "core/stopwatch.h"
 #include "eval/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 
 namespace vgod::detectors {
 
@@ -34,7 +33,6 @@ Vgod::Vgod(VgodConfig config)
     : config_(config), vbm_(config.vbm), arm_(config.arm) {}
 
 Status Vgod::Fit(const AttributedGraph& graph) {
-  VGOD_TRACE_SPAN("vgod/fit");
   VGOD_PROFILE_MEMORY_PHASE("detector/vgod_fit");
   Stopwatch watch;
   // Separate training with independent epoch budgets (paper Algorithm 1):

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 
 #include "core/parallel.h"
@@ -41,6 +42,30 @@ void PublishPoolGauges() {
   }
 }
 
+/// One scrape's reading of a histogram, taken from a single copy of the
+/// sketch so that count, sum and every bucket agree (+Inf == _count ==
+/// count) even while writers keep inserting.
+struct HistogramReading {
+  int64_t count = 0;
+  double sum = 0.0;
+  // Cumulative count at each DefaultLatencyBounds() edge, then +Inf.
+  std::vector<int64_t> cumulative;
+};
+
+HistogramReading ReadHistogram(const QuantileSketch& live) {
+  const QuantileSketch sketch(live);
+  HistogramReading out;
+  out.count = sketch.Count();
+  out.sum = sketch.Sum();
+  for (double le : DefaultLatencyBounds()) {
+    out.cumulative.push_back(std::min<int64_t>(
+        out.count, std::llround(sketch.MassBelow(le) *
+                                static_cast<double>(out.count))));
+  }
+  out.cumulative.push_back(out.count);
+  return out;
+}
+
 }  // namespace
 
 std::string SanitizeMetricName(const std::string& name) {
@@ -70,66 +95,6 @@ std::string EscapeLabelValue(const std::string& value) {
   return out;
 }
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_ = std::make_unique<std::atomic<int64_t>[]>(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-}
-
-void Histogram::Observe(double value) {
-  const size_t bucket =
-      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
-      bounds_.begin();
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double sum = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(sum, sum + value,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<int64_t> Histogram::BucketCounts() const {
-  std::vector<int64_t> counts(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return counts;
-}
-
-void Histogram::Reset() {
-  for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-  count_.store(0);
-  sum_.store(0.0);
-}
-
-double HistogramQuantile(const Histogram& histogram, double q) {
-  q = std::min(1.0, std::max(0.0, q));
-  const std::vector<int64_t> counts = histogram.BucketCounts();
-  const std::vector<double>& bounds = histogram.bounds();
-  int64_t total = 0;
-  for (int64_t c : counts) total += c;
-  if (total == 0) return 0.0;
-  // Rank of the target observation; q=1 maps to the last one.
-  const double rank = q * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    const double next = cumulative + static_cast<double>(counts[i]);
-    if (next >= rank) {
-      if (i >= bounds.size()) return bounds.empty() ? 0.0 : bounds.back();
-      // Interpolate within [lower, bounds[i]]; the first finite bucket's
-      // lower edge is 0 (latencies are non-negative).
-      const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      const double fraction =
-          (rank - cumulative) / static_cast<double>(counts[i]);
-      return lower + fraction * (bounds[i] - lower);
-    }
-    cumulative = next;
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
-
 const std::vector<double>& DefaultLatencyBounds() {
   static const std::vector<double>* bounds = new std::vector<double>{
       1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3,
@@ -156,11 +121,10 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds) {
+QuantileSketch* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<Histogram>& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
+  std::unique_ptr<QuantileSketch>& slot = histograms_[name];
+  if (!slot) slot = std::make_unique<QuantileSketch>(kHistogramAlpha);
   return slot.get();
 }
 
@@ -209,14 +173,15 @@ std::string MetricsRegistry::ToJson() const {
     if (!first) out.push_back(',');
     first = false;
     AppendJsonString(&out, name);
+    const HistogramReading reading = ReadHistogram(*histogram);
     out.append(":{\"count\":");
-    AppendJsonNumber(&out, static_cast<double>(histogram->Count()));
+    AppendJsonNumber(&out, static_cast<double>(reading.count));
     out.append(",\"sum\":");
-    AppendJsonNumber(&out, histogram->Sum());
+    AppendJsonNumber(&out, reading.sum);
     out.append(",\"buckets\":[");
-    const std::vector<int64_t> counts = histogram->BucketCounts();
-    const std::vector<double>& bounds = histogram->bounds();
-    for (size_t i = 0; i < counts.size(); ++i) {
+    // Per-bucket (not cumulative) counts, overflow last.
+    const std::vector<double>& bounds = DefaultLatencyBounds();
+    for (size_t i = 0; i < reading.cumulative.size(); ++i) {
       if (i > 0) out.push_back(',');
       out.append("{\"le\":");
       if (i < bounds.size()) {
@@ -225,7 +190,9 @@ std::string MetricsRegistry::ToJson() const {
         out.append("\"inf\"");
       }
       out.append(",\"count\":");
-      AppendJsonNumber(&out, static_cast<double>(counts[i]));
+      const int64_t below = i > 0 ? reading.cumulative[i - 1] : 0;
+      AppendJsonNumber(&out,
+                       static_cast<double>(reading.cumulative[i] - below));
       out.push_back('}');
     }
     out.append("]}");
@@ -293,32 +260,26 @@ std::string MetricsRegistry::ToPrometheus() const {
   for (const auto& [name, histogram] : histograms_) {
     const std::string sanitized = SanitizeMetricName(name);
     header(name, "histogram", sanitized);
-    const std::vector<int64_t> counts = histogram->BucketCounts();
-    const std::vector<double>& bounds = histogram->bounds();
-    int64_t cumulative = 0;
-    for (size_t i = 0; i < bounds.size(); ++i) {
-      cumulative += counts[i];
-      std::string le;
-      AppendJsonNumber(&le, bounds[i]);
+    const HistogramReading reading = ReadHistogram(*histogram);
+    const std::vector<double>& bounds = DefaultLatencyBounds();
+    for (size_t i = 0; i < reading.cumulative.size(); ++i) {
+      std::string le = "+Inf";
+      if (i < bounds.size()) {
+        le.clear();
+        AppendJsonNumber(&le, bounds[i]);
+      }
       out.append(sanitized);
       out.append("_bucket{le=\"");
       out.append(EscapeLabelValue(le));
       out.append("\"} ");
-      value(static_cast<double>(cumulative));
+      value(static_cast<double>(reading.cumulative[i]));
     }
-    cumulative += counts[bounds.size()];
-    out.append(sanitized);
-    out.append("_bucket{le=\"+Inf\"} ");
-    value(static_cast<double>(cumulative));
     out.append(sanitized);
     out.append("_sum ");
-    value(histogram->Sum());
-    // _count repeats the +Inf cumulative rather than re-reading the
-    // histogram's count atomic: an Observe() racing the scrape could
-    // otherwise make the two disagree within one exposition.
+    value(reading.sum);
     out.append(sanitized);
     out.append("_count ");
-    value(static_cast<double>(cumulative));
+    value(static_cast<double>(reading.count));
   }
   for (const auto& [name, labels] : infos_) {
     const std::string sanitized = SanitizeMetricName(name);
@@ -351,7 +312,7 @@ void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
+  for (auto& [name, histogram] : histograms_) histogram->Clear();
 }
 
 }  // namespace vgod::obs

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/status.h"
+#include "obs/sketch.h"
 
 namespace vgod::obs {
 
@@ -37,31 +38,14 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram. `bounds` are inclusive upper edges ("le" in
-/// Prometheus terms); one implicit overflow bucket catches the rest.
-/// Observe() is lock-free (atomic bucket counters + CAS-accumulated sum).
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
+/// Relative accuracy of every registry histogram: each one is a
+/// QuantileSketch (obs/sketch.h), so any quantile read from it is within
+/// 1% of the exact value.
+inline constexpr double kHistogramAlpha = 0.01;
 
-  void Observe(double value);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts, bounds().size() + 1 entries (last = overflow).
-  std::vector<int64_t> BucketCounts() const;
-  int64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
-  void Reset();
-
- private:
-  std::vector<double> bounds_;  // Sorted ascending at construction.
-  std::unique_ptr<std::atomic<int64_t>[]> buckets_;
-  std::atomic<int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// Default histogram edges for durations in seconds: 1us .. ~100s, powers
-/// of 10 with a 1-3 split per decade.
+/// Export ladder for histograms, in seconds: 1us .. ~100s, powers of 10
+/// with a 1-3 split per decade. The JSON "buckets" and the Prometheus
+/// `_bucket{le=...}` series report the sketch's mass at these edges.
 const std::vector<double>& DefaultLatencyBounds();
 
 /// Maps an arbitrary registry name onto the Prometheus metric-name
@@ -74,13 +58,6 @@ std::string SanitizeMetricName(const std::string& name);
 /// newline become \\, \", and \n.
 std::string EscapeLabelValue(const std::string& value);
 
-/// Estimate of the value at quantile `q` (in [0, 1]) by linear
-/// interpolation inside the owning bucket — how the serving layer turns
-/// its latency histograms into p50/p99 numbers. Observations in the
-/// overflow bucket clamp to the last bound. Returns 0 for an empty
-/// histogram.
-double HistogramQuantile(const Histogram& histogram, double q);
-
 /// Process-wide registry. Registration takes a mutex; the returned
 /// pointers are stable for the process lifetime, so hot paths cache them
 /// (the VGOD_COUNTER_* macros do this with a function-local static).
@@ -90,9 +67,9 @@ class MetricsRegistry {
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  /// First registration of `name` fixes the bucket bounds; later calls
-  /// return the existing histogram regardless of `bounds`.
-  Histogram* GetHistogram(const std::string& name, std::vector<double> bounds);
+  /// Histogram named `name`: a sketch with relative accuracy
+  /// kHistogramAlpha. Read quantiles with QuantileSketch::Quantile.
+  QuantileSketch* GetHistogram(const std::string& name);
 
   /// Reads the current value of a gauge or counter by exact registry
   /// name without creating it (gauges shadow counters on a name clash).
@@ -114,7 +91,8 @@ class MetricsRegistry {
   /// Prometheus text exposition format (version 0.0.4): one `# HELP` +
   /// `# TYPE` block per metric with the name sanitized by
   /// SanitizeMetricName. Histograms render as cumulative `_bucket{le=...}`
-  /// series ending in `le="+Inf"` plus `_sum` and `_count`, so a standard
+  /// series over DefaultLatencyBounds() ending in `le="+Inf"` plus `_sum`
+  /// and `_count`, all read from one copy of the sketch, so a standard
   /// scraper pointed at `GET /metrics?format=prometheus` understands the
   /// same registry the JSON export carries.
   std::string ToPrometheus() const;
@@ -129,14 +107,15 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<QuantileSketch>> histograms_;
   std::map<std::string, std::map<std::string, std::string>> infos_;
 };
 
 }  // namespace vgod::obs
 
 /// Cheap recording macros: one mutex-protected registry lookup on first
-/// execution, a relaxed atomic add afterwards.
+/// execution; afterwards a relaxed atomic add (counters) or one sketch
+/// insert (histograms).
 #define VGOD_COUNTER_ADD(name, delta)                                    \
   do {                                                                   \
     static ::vgod::obs::Counter* vgod_counter_ =                         \
@@ -148,10 +127,9 @@ class MetricsRegistry {
 
 #define VGOD_HISTOGRAM_OBSERVE(name, value)                              \
   do {                                                                   \
-    static ::vgod::obs::Histogram* vgod_histogram_ =                     \
-        ::vgod::obs::MetricsRegistry::Global().GetHistogram(             \
-            name, ::vgod::obs::DefaultLatencyBounds());                  \
-    vgod_histogram_->Observe(value);                                     \
+    static ::vgod::obs::QuantileSketch* vgod_histogram_ =                \
+        ::vgod::obs::MetricsRegistry::Global().GetHistogram(name);       \
+    vgod_histogram_->Insert(value);                                      \
   } while (0)
 
 #endif  // VGOD_OBS_METRICS_H_

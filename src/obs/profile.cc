@@ -12,6 +12,8 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace vgod::obs {
 
 namespace profile_internal {
@@ -34,9 +36,28 @@ struct LiveNode {
   std::vector<std::unique_ptr<LiveNode>> children;
 };
 
-namespace {
+std::atomic<uint32_t> g_scope_sinks{0};
 
-std::atomic<bool> g_profile_enabled{false};
+void SetSink(uint32_t sink, bool enabled) {
+  if (enabled) {
+    g_scope_sinks.fetch_or(sink, std::memory_order_relaxed);
+  } else {
+    g_scope_sinks.fetch_and(~sink, std::memory_order_relaxed);
+  }
+}
+
+bool ReadSinkEnv(const char* variable, std::string* path) {
+  const char* value = std::getenv(variable);
+  if (value == nullptr || value[0] == '\0' ||
+      std::strcmp(value, "0") == 0) {
+    return false;
+  }
+  const std::string text(value);
+  if (text.find_first_of("/.") != std::string::npos) *path = text;
+  return true;
+}
+
+namespace {
 
 struct ThreadProfile {
   std::mutex mu;  // guards `children` growth against snapshot traversal
@@ -64,6 +85,27 @@ ThreadProfile& LocalThreadProfile() {
     return created;
   }();
   return *profile;
+}
+
+LiveNode* EnterNode(const char* name) {
+  ThreadProfile& profile = LocalThreadProfile();
+  LiveNode* parent = profile.current;
+  for (const std::unique_ptr<LiveNode>& child : parent->children) {
+    // Scope names are literals, so pointer equality catches the common
+    // case; strcmp handles the same name reaching a path from two TUs.
+    if (child->name == name || std::strcmp(child->name, name) == 0) {
+      profile.current = child.get();
+      return child.get();
+    }
+  }
+  auto created = std::make_unique<LiveNode>(name, parent);
+  LiveNode* node = created.get();
+  {
+    std::lock_guard<std::mutex> lock(profile.mu);
+    parent->children.push_back(std::move(created));
+  }
+  profile.current = node;
+  return node;
 }
 
 void ZeroTree(LiveNode* node) {
@@ -143,56 +185,51 @@ void AppendJson(const ProfileNode& node, std::ostringstream* out) {
 }  // namespace
 
 int64_t ProfileNowNs() {
+  static const std::chrono::steady_clock::time_point epoch =
+      std::chrono::steady_clock::now();
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
+             std::chrono::steady_clock::now() - epoch)
       .count();
 }
 
-LiveNode* EnterScope(const char* name) {
-  ThreadProfile& profile = LocalThreadProfile();
-  LiveNode* parent = profile.current;
-  for (const std::unique_ptr<LiveNode>& child : parent->children) {
-    // Scope names are literals, so pointer equality catches the common
-    // case; strcmp handles the same name reaching a path from two TUs.
-    if (child->name == name || std::strcmp(child->name, name) == 0) {
-      profile.current = child.get();
-      return child.get();
-    }
+}  // namespace profile_internal
+
+void ProfileScope::Enter(const char* name, uint32_t sinks) {
+  name_ = name;
+  timeline_ = (sinks & profile_internal::kTimelineSink) != 0;
+  start_ns_ = profile_internal::ProfileNowNs();
+  if ((sinks & profile_internal::kTreeSink) != 0) {
+    node_ = profile_internal::EnterNode(name);
   }
-  auto created = std::make_unique<LiveNode>(name, parent);
-  LiveNode* node = created.get();
-  {
-    std::lock_guard<std::mutex> lock(profile.mu);
-    parent->children.push_back(std::move(created));
-  }
-  profile.current = node;
-  return node;
 }
 
-void LeaveScope(LiveNode* node, int64_t start_ns) {
-  node->calls.fetch_add(1, std::memory_order_relaxed);
-  node->inclusive_ns.fetch_add(ProfileNowNs() - start_ns,
-                               std::memory_order_relaxed);
-  LocalThreadProfile().current = node->parent;
+void ProfileScope::Leave() {
+  const int64_t end_ns = profile_internal::ProfileNowNs();
+  if (node_ != nullptr) {
+    node_->calls.fetch_add(1, std::memory_order_relaxed);
+    node_->inclusive_ns.fetch_add(end_ns - start_ns_,
+                                  std::memory_order_relaxed);
+    profile_internal::LocalThreadProfile().current = node_->parent;
+  }
+  if (timeline_) {
+    // Truncate both ends to whole microseconds so nested scopes stay
+    // nested on the timeline.
+    const int64_t start_us = start_ns_ / 1000;
+    RecordCompleteEvent(name_, start_us, end_ns / 1000 - start_us);
+  }
 }
 
-void MergePeakBytes(LiveNode* node, int64_t peak_bytes) {
-  int64_t seen = node->peak_bytes.load(std::memory_order_relaxed);
-  while (peak_bytes > seen && !node->peak_bytes.compare_exchange_weak(
+void ProfileScope::MergePeakBytes(int64_t peak_bytes) {
+  if (node_ == nullptr) return;
+  int64_t seen = node_->peak_bytes.load(std::memory_order_relaxed);
+  while (peak_bytes > seen && !node_->peak_bytes.compare_exchange_weak(
                                   seen, peak_bytes,
                                   std::memory_order_relaxed)) {
   }
 }
 
-}  // namespace profile_internal
-
-bool ProfileEnabled() {
-  return profile_internal::g_profile_enabled.load(std::memory_order_relaxed);
-}
-
 void SetProfileEnabled(bool enabled) {
-  profile_internal::g_profile_enabled.store(enabled,
-                                            std::memory_order_relaxed);
+  profile_internal::SetSink(profile_internal::kTreeSink, enabled);
 }
 
 namespace {
@@ -205,19 +242,10 @@ std::string& ProfileEnvPathStorage() {
 }  // namespace
 
 void InitProfileFromEnv() {
-  const char* value = std::getenv("VGOD_PROFILE");
-  if (value == nullptr || value[0] == '\0' ||
-      std::strcmp(value, "0") == 0) {
-    return;
+  if (profile_internal::ReadSinkEnv("VGOD_PROFILE",
+                                    &ProfileEnvPathStorage())) {
+    SetProfileEnabled(true);
   }
-  // Like VGOD_TRACE: a path-looking value ("out/profile.json",
-  // "score.folded") doubles as the export destination.
-  const std::string text(value);
-  if (text.find('/') != std::string::npos ||
-      text.find('.') != std::string::npos) {
-    ProfileEnvPathStorage() = text;
-  }
-  SetProfileEnabled(true);
 }
 
 std::string ProfileEnvPath() { return ProfileEnvPathStorage(); }

@@ -1,6 +1,7 @@
 #ifndef VGOD_OBS_PROFILE_H_
 #define VGOD_OBS_PROFILE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -10,21 +11,27 @@
 
 namespace vgod::obs {
 
-/// Hierarchical compute profiler. Scoped regions (VGOD_PROFILE_SCOPE)
-/// maintain a thread-local call stack; each distinct stack path becomes a
-/// node in a per-thread call tree holding relaxed-atomic accumulators
-/// (inclusive ns, call count, bytes touched, peak tensor bytes).
-/// SnapshotProfile() merges the per-thread trees by path into one
-/// aggregate tree with deterministic (name-sorted) child order, from
-/// which ProfileToJson() / ProfileToFolded() derive the exports.
+/// Scoped regions (VGOD_PROFILE_SCOPE) are the one span primitive. A
+/// scope reports to two independent sinks, each switched by its own bit
+/// of one atomic:
+///  - the call tree (SetProfileEnabled, VGOD_PROFILE, /debug/profile): a
+///    thread-local call stack where each distinct stack path becomes a
+///    node in a per-thread call tree holding relaxed-atomic accumulators
+///    (inclusive ns, call count, bytes touched, peak tensor bytes).
+///    SnapshotProfile() merges the per-thread trees by path into one
+///    aggregate tree with deterministic (name-sorted) child order, from
+///    which ProfileToJson() / ProfileToFolded() derive the exports;
+///  - the timeline (SetTraceEnabled, VGOD_TRACE, obs/trace.h): one Chrome
+///    trace complete event per scope exit.
 ///
-/// Cost model: disabled, a scope is one relaxed atomic load. Enabled, it
-/// is a thread-local lookup, a child search by pointer/strcmp over a
-/// handful of siblings, and two steady-clock reads — no locks on the hot
-/// path. Tree-structure mutation (first visit of a path) takes a
-/// per-thread mutex shared only with snapshotters, so the profiler stays
-/// TSan-clean, and it never reorders or partitions work, so profiled
-/// runs produce bit-identical numeric output.
+/// Cost model: with both sinks off, a scope is one relaxed atomic load.
+/// With the tree on, it is a thread-local lookup, a child search by
+/// pointer/strcmp over a handful of siblings, and two steady-clock reads
+/// — no locks on the hot path. Tree-structure mutation (first visit of a
+/// path) takes a per-thread mutex shared only with snapshotters, so the
+/// profiler stays TSan-clean, and it never reorders or partitions work,
+/// so profiled runs produce bit-identical numeric output. The timeline
+/// adds one append to the mutex-guarded trace ring per scope exit.
 ///
 /// Scope names must be string literals (or otherwise outlive the
 /// process); they are stored by pointer on the hot path.
@@ -44,15 +51,37 @@ struct ProfileNode {
   std::vector<ProfileNode> children;  // sorted by name
 };
 
-/// Global on/off switch. When off, VGOD_PROFILE_SCOPE costs one relaxed
-/// atomic load and nothing is recorded.
-bool ProfileEnabled();
+namespace profile_internal {
+
+struct LiveNode;  // one call-tree node; defined in profile.cc
+
+/// Sink bits of g_scope_sinks, read once when a scope opens.
+inline constexpr uint32_t kTreeSink = 1;
+inline constexpr uint32_t kTimelineSink = 2;
+extern std::atomic<uint32_t> g_scope_sinks;
+void SetSink(uint32_t sink, bool enabled);
+
+/// The one rule for VGOD_PROFILE and VGOD_TRACE: unset, "" or "0" leaves
+/// the sink off (returns false); anything else turns it on, and a value
+/// containing '/' or '.' (e.g. "out/profile.json", "run.trace") is also
+/// stored in `*path` as the export destination.
+bool ReadSinkEnv(const char* variable, std::string* path);
+
+/// Steady-clock nanoseconds since the process's first call: the one time
+/// base of the call tree and the timeline.
+int64_t ProfileNowNs();
+
+}  // namespace profile_internal
+
+/// Call-tree sink switch. Toggling it leaves the timeline untouched.
+inline bool ProfileEnabled() {
+  return (profile_internal::g_scope_sinks.load(std::memory_order_relaxed) &
+          profile_internal::kTreeSink) != 0;
+}
 void SetProfileEnabled(bool enabled);
 
-/// Applies the VGOD_PROFILE environment variable: unset, "" or "0"
-/// leaves profiling off; anything else turns it on. A value containing a
-/// '/' or '.' (e.g. "out/profile.json") additionally becomes the export
-/// path reported by ProfileEnvPath().
+/// Applies the VGOD_PROFILE environment variable (see ReadSinkEnv); a
+/// path-like value becomes ProfileEnvPath().
 void InitProfileFromEnv();
 
 /// Export path parsed from VGOD_PROFILE by InitProfileFromEnv(), or "".
@@ -89,41 +118,35 @@ Status WriteProfile(const std::string& path);
 /// this thread. No-op when profiling is off or no scope is open.
 void ProfileAddBytes(int64_t bytes);
 
-namespace profile_internal {
-
-struct LiveNode;  // one call-tree node; defined in profile.cc
-
-int64_t ProfileNowNs();
-LiveNode* EnterScope(const char* name);
-void LeaveScope(LiveNode* node, int64_t start_ns);
-void MergePeakBytes(LiveNode* node, int64_t peak_bytes);
-
-}  // namespace profile_internal
-
-/// RAII profiling region. Prefer the VGOD_PROFILE_SCOPE macro.
+/// RAII profiling region. Prefer the VGOD_PROFILE_SCOPE macro. The sinks
+/// are sampled once on entry; a scope that opened with a sink off never
+/// reports to it.
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name) {
-    if (ProfileEnabled()) {
-      start_ns_ = profile_internal::ProfileNowNs();
-      node_ = profile_internal::EnterScope(name);
-    }
+    const uint32_t sinks =
+        profile_internal::g_scope_sinks.load(std::memory_order_relaxed);
+    if (sinks != 0) Enter(name, sinks);
   }
   ~ProfileScope() {
-    if (node_ != nullptr) profile_internal::LeaveScope(node_, start_ns_);
+    if (name_ != nullptr) Leave();
   }
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
+  /// True when this scope reports to the call tree.
   bool active() const { return node_ != nullptr; }
 
   /// Max-merges a tensor-memory high-water mark into this scope's node.
-  void MergePeakBytes(int64_t peak_bytes) {
-    if (node_ != nullptr) profile_internal::MergePeakBytes(node_, peak_bytes);
-  }
+  void MergePeakBytes(int64_t peak_bytes);
 
  private:
-  profile_internal::LiveNode* node_ = nullptr;
+  void Enter(const char* name, uint32_t sinks);
+  void Leave();
+
+  const char* name_ = nullptr;  // Set when any sink records this scope.
+  profile_internal::LiveNode* node_ = nullptr;  // Set for the tree sink.
+  bool timeline_ = false;
   int64_t start_ns_ = 0;
 };
 
@@ -159,10 +182,8 @@ class MemoryPhase {
 
 }  // namespace vgod::obs
 
-#ifndef VGOD_OBS_CONCAT
 #define VGOD_OBS_CONCAT_INNER(a, b) a##b
 #define VGOD_OBS_CONCAT(a, b) VGOD_OBS_CONCAT_INNER(a, b)
-#endif
 #define VGOD_PROFILE_SCOPE(name)             \
   ::vgod::obs::ProfileScope VGOD_OBS_CONCAT( \
       vgod_profile_scope_, __LINE__)(name)

@@ -1,24 +1,20 @@
 #include "obs/trace.h"
 
 #include <atomic>
-#include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
-#include <thread>
 
 #include "obs/json.h"
+#include "obs/profile.h"
 
 namespace vgod::obs {
 namespace {
 
 constexpr size_t kRingCapacity = 1 << 16;
 
-std::atomic<bool> g_enabled{false};
-
-/// Ring buffer of completed spans. Spans end at epoch/phase frequency, not
-/// per tensor element, so a mutex is cheap enough here; the fast path for
-/// disabled tracing never reaches this.
+/// Ring buffer of completed spans. Spans end at kernel-call frequency at
+/// most, not per tensor element, so a mutex is cheap enough here; a scope
+/// with the timeline off never reaches this.
 struct Ring {
   std::mutex mu;
   std::vector<TraceEvent> events;  // Ring storage, capacity kRingCapacity.
@@ -36,42 +32,26 @@ std::string& EnvPathStorage() {
   return *path;
 }
 
-std::chrono::steady_clock::time_point TraceEpoch() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return epoch;
-}
-
 }  // namespace
 
-bool TraceEnabled() { return g_enabled.load(std::memory_order_relaxed); }
+bool TraceEnabled() {
+  return (profile_internal::g_scope_sinks.load(std::memory_order_relaxed) &
+          profile_internal::kTimelineSink) != 0;
+}
 
 void SetTraceEnabled(bool enabled) {
-  TraceEpoch();  // Pin the epoch no later than the first enable.
-  g_enabled.store(enabled, std::memory_order_relaxed);
+  profile_internal::SetSink(profile_internal::kTimelineSink, enabled);
 }
 
 void InitTraceFromEnv() {
-  const char* value = std::getenv("VGOD_TRACE");
-  if (value == nullptr || value[0] == '\0' ||
-      (value[0] == '0' && value[1] == '\0')) {
-    return;
+  if (profile_internal::ReadSinkEnv("VGOD_TRACE", &EnvPathStorage())) {
+    SetTraceEnabled(true);
   }
-  const std::string text(value);
-  if (text.find('/') != std::string::npos ||
-      (text.size() > 5 && text.compare(text.size() - 5, 5, ".json") == 0)) {
-    EnvPathStorage() = text;
-  }
-  SetTraceEnabled(true);
 }
 
 std::string TraceEnvPath() { return EnvPathStorage(); }
 
-int64_t TraceNowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - TraceEpoch())
-      .count();
-}
+int64_t TraceNowMicros() { return profile_internal::ProfileNowNs() / 1000; }
 
 uint32_t TraceThreadId() {
   // Small per-thread id assigned in first-use order: stabler across runs
@@ -82,9 +62,13 @@ uint32_t TraceThreadId() {
   return id;
 }
 
-namespace {
-
-void RecordEvent(TraceEvent event) {
+void RecordCompleteEvent(std::string name, int64_t ts_us, int64_t dur_us) {
+  if (!TraceEnabled()) return;
+  TraceEvent event;
+  event.name = std::move(name);
+  event.tid = TraceThreadId();
+  event.ts_us = ts_us;
+  event.dur_us = dur_us;
   Ring& ring = GetRing();
   std::lock_guard<std::mutex> lock(ring.mu);
   if (ring.events.size() < kRingCapacity) {
@@ -94,29 +78,6 @@ void RecordEvent(TraceEvent event) {
   }
   ring.next = (ring.next + 1) % kRingCapacity;
   ++ring.total;
-}
-
-}  // namespace
-
-void RecordCompleteEvent(std::string name, int64_t ts_us, int64_t dur_us) {
-  if (!TraceEnabled()) return;
-  TraceEvent event;
-  event.name = std::move(name);
-  event.tid = TraceThreadId();
-  event.ts_us = ts_us;
-  event.dur_us = dur_us;
-  RecordEvent(std::move(event));
-}
-
-void RecordFlowEvent(std::string name, uint64_t flow_id, bool finish) {
-  if (!TraceEnabled()) return;
-  TraceEvent event;
-  event.name = std::move(name);
-  event.ph = finish ? 'f' : 's';
-  event.tid = TraceThreadId();
-  event.ts_us = TraceNowMicros();
-  event.flow_id = flow_id;
-  RecordEvent(std::move(event));
 }
 
 std::vector<TraceEvent> SnapshotTraceEvents() {
@@ -159,22 +120,12 @@ std::string TraceToJson() {
     if (i > 0) out.push_back(',');
     out.append("{\"name\":");
     AppendJsonString(&out, events[i].name);
-    out.append(",\"cat\":\"vgod\",\"ph\":\"");
-    out.push_back(events[i].ph);
-    out.append("\",\"pid\":1,\"tid\":");
+    out.append(",\"cat\":\"vgod\",\"ph\":\"X\",\"pid\":1,\"tid\":");
     AppendJsonNumber(&out, static_cast<double>(events[i].tid));
     out.append(",\"ts\":");
     AppendJsonNumber(&out, static_cast<double>(events[i].ts_us));
-    if (events[i].ph == 'X') {
-      out.append(",\"dur\":");
-      AppendJsonNumber(&out, static_cast<double>(events[i].dur_us));
-    } else {
-      // Flow events carry the binding id instead of a duration; the
-      // finish additionally binds to the enclosing slice ("bp":"e").
-      out.append(",\"id\":");
-      AppendJsonNumber(&out, static_cast<double>(events[i].flow_id));
-      if (events[i].ph == 'f') out.append(",\"bp\":\"e\"");
-    }
+    out.append(",\"dur\":");
+    AppendJsonNumber(&out, static_cast<double>(events[i].dur_us));
     out.push_back('}');
   }
   out.append("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":");

@@ -9,51 +9,42 @@
 
 namespace vgod::obs {
 
-/// One trace event, timestamped in microseconds since the process trace
-/// epoch. `ph` follows the Chrome trace_event phases this ring records:
-/// 'X' complete span, 's' flow start, 'f' flow finish. Flow events carry
-/// `flow_id` (the serving layer uses the request id) and tie a span on
-/// one thread to a span on another in the viewer.
+/// The timeline: a ring of Chrome trace complete ("X") events, the second
+/// sink of ProfileScope (obs/profile.h) beside the call tree. Every
+/// VGOD_PROFILE_SCOPE that opens while the timeline is on appends one
+/// event when it closes; TrainingRun appends its `<Detector>/fit` and
+/// `<Detector>/epoch` spans through RecordCompleteEvent. Timestamps are
+/// microseconds on the profiler's clock.
 struct TraceEvent {
   std::string name;
-  char ph = 'X';
   uint32_t tid = 0;
   int64_t ts_us = 0;
   int64_t dur_us = 0;
-  uint64_t flow_id = 0;
 };
 
-/// Global on/off switch. When off, VGOD_TRACE_SPAN costs one relaxed
-/// atomic load and nothing is recorded.
+/// Timeline sink switch: its own bit of the scope-sink atomic, so turning
+/// it on or off leaves the call tree untouched.
 bool TraceEnabled();
 void SetTraceEnabled(bool enabled);
 
-/// Applies the VGOD_TRACE environment variable: unset, "" or "0" leaves
-/// tracing off; anything else turns it on. A value containing '/' or
-/// ending in ".json" additionally becomes the default export path
-/// returned by TraceEnvPath().
+/// Applies the VGOD_TRACE environment variable with the same rule as
+/// VGOD_PROFILE: unset, "" or "0" leaves the timeline off; anything else
+/// turns it on, and a value containing '/' or '.' also becomes the export
+/// path returned by TraceEnvPath().
 void InitTraceFromEnv();
 
 /// Export path carried by VGOD_TRACE (empty when none was given).
 std::string TraceEnvPath();
 
-/// Microseconds since the process trace epoch (steady clock).
+/// Microseconds on the timeline's clock.
 int64_t TraceNowMicros();
 
 /// Stable small id for the calling thread (used as "tid" in exports).
 uint32_t TraceThreadId();
 
 /// Appends a completed span to the in-process ring buffer (oldest events
-/// are overwritten past the capacity). No-op when tracing is disabled.
+/// are overwritten past the capacity). No-op when the timeline is off.
 void RecordCompleteEvent(std::string name, int64_t ts_us, int64_t dur_us);
-
-/// Appends a flow event at the current timestamp on the calling thread:
-/// `finish` false records the flow start ("ph":"s"), true the finish
-/// ("ph":"f", binding to the enclosing slice). Record the start inside a
-/// span on the producing thread and the finish inside a span on the
-/// consuming thread with the same `flow_id`, and trace viewers draw an
-/// arrow between the two. No-op when tracing is disabled.
-void RecordFlowEvent(std::string name, uint64_t flow_id, bool finish);
 
 /// Events currently buffered, oldest first. Number dropped by ring
 /// wrap-around is reported by TraceDroppedCount().
@@ -67,34 +58,6 @@ void ClearTrace();
 std::string TraceToJson();
 Status WriteTrace(const std::string& path);
 
-/// RAII span: records one complete event from construction to destruction.
-/// `name` is copied only when tracing is enabled.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) {
-    if (TraceEnabled()) {
-      name_ = name;
-      start_us_ = TraceNowMicros();
-    }
-  }
-  ~TraceSpan() {
-    if (name_ != nullptr) {
-      RecordCompleteEvent(name_, start_us_, TraceNowMicros() - start_us_);
-    }
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  int64_t start_us_ = 0;
-};
-
 }  // namespace vgod::obs
-
-#define VGOD_OBS_CONCAT_INNER(a, b) a##b
-#define VGOD_OBS_CONCAT(a, b) VGOD_OBS_CONCAT_INNER(a, b)
-#define VGOD_TRACE_SPAN(name) \
-  ::vgod::obs::TraceSpan VGOD_OBS_CONCAT(vgod_trace_span_, __LINE__)(name)
 
 #endif  // VGOD_OBS_TRACE_H_

@@ -10,7 +10,6 @@
 #include "obs/memory.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "serve/access_log.h"
 
 namespace vgod::serve {
@@ -236,7 +235,7 @@ Result<IngestResult> ScoringEngine::Ingest(const stream::EventBatch& batch,
   if (!started_.load() || stopping_.load()) {
     return Status::FailedPrecondition("engine is not accepting work");
   }
-  VGOD_TRACE_SPAN("stream/ingest");
+  VGOD_PROFILE_SCOPE("stream/ingest");
   const auto start = std::chrono::steady_clock::now();
   IngestResult result;
   result.request_id = request_id != 0 ? request_id : NextRequestId();
@@ -490,7 +489,7 @@ Result<ScoreResult> ScoringEngine::ScoreNodes(std::vector<int> nodes,
   VGOD_RETURN_IF_ERROR(ValidateNodes(nodes));
   VGOD_RETURN_IF_ERROR(Enter());
   const auto start = std::chrono::steady_clock::now();
-  VGOD_TRACE_SPAN("serve/nodes");
+  VGOD_PROFILE_SCOPE("serve/nodes");
   ScoreResult result;
   result.timing.request_id = request_id != 0 ? request_id : NextRequestId();
   const ScoreTable table = LatestTable(&result.timing);
@@ -528,7 +527,7 @@ Result<ScoreResult> ScoringEngine::ScoreGraph(AttributedGraph graph,
   VGOD_RETURN_IF_ERROR(ValidateSubgraph(graph));
   VGOD_RETURN_IF_ERROR(Enter());
   const auto start = std::chrono::steady_clock::now();
-  VGOD_TRACE_SPAN("serve/subgraph");
+  VGOD_PROFILE_SCOPE("serve/subgraph");
   ScoreResult result;
   result.timing.request_id = request_id != 0 ? request_id : NextRequestId();
   Result<detectors::DetectorOutput> scored = TimedScore(graph, &result.timing);

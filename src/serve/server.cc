@@ -435,7 +435,7 @@ void ScoringServer::MonitorLoop() {
 }
 
 void ScoringServer::MonitorTick(double now_seconds) {
-  VGOD_TRACE_SPAN("serve/monitor");
+  VGOD_PROFILE_SCOPE("serve/monitor");
   // Structural inputs first: the event counts recorded before a rotation
   // belong to the window that rotation closes.
   if (engine_->streaming_enabled()) {
@@ -468,7 +468,7 @@ void ScoringServer::MonitorTick(double now_seconds) {
 
 void ScoringServer::Handle(const HttpRequest& request,
                            HttpServer::Responder respond) {
-  VGOD_TRACE_SPAN("serve/http");
+  VGOD_PROFILE_SCOPE("serve/http");
   const auto start = std::chrono::steady_clock::now();
 
   std::string path;
@@ -709,8 +709,10 @@ void ScoringServer::Dispatch(const HttpRequest& request,
     // Windowed capture: clear the aggregate tree, enable collection for
     // the requested wall-clock window (sleeping on this transport
     // dispatch worker; scoring proceeds on the other ones), then
-    // restore the previous enablement. Concurrent /debug/profile windows
-    // overlap benignly — they just observe each other's capture.
+    // restore the previous enablement. Only the call-tree sink is
+    // toggled, so a VGOD_TRACE timeline keeps recording throughout.
+    // Concurrent /debug/profile windows overlap benignly — they just
+    // observe each other's capture.
     const bool was_enabled = obs::ProfileEnabled();
     obs::ClearProfile();
     obs::SetProfileEnabled(true);

@@ -210,27 +210,6 @@ TEST(QuantileSketch, ConcurrentInsertAndReadIsSafe) {
   EXPECT_EQ(sketch.Count(), 8000);
 }
 
-TEST(QuantileSketch, AgreesWithHistogramQuantile) {
-  // Coarse cross-check against the fixed-bucket estimator the latency
-  // metrics use: same uniform data, estimates within a bucket width.
-  std::mt19937 rng(13);
-  std::uniform_real_distribution<double> dist(0.0, 1.0);
-  obs::QuantileSketch sketch(0.01);
-  std::vector<double> bounds;
-  for (double b = 0.05; b <= 1.0; b += 0.05) bounds.push_back(b);
-  obs::Histogram histogram(bounds);
-  for (int i = 0; i < 50000; ++i) {
-    const double v = dist(rng);
-    sketch.Insert(v);
-    histogram.Observe(v);
-  }
-  for (double q : {0.25, 0.5, 0.9}) {
-    EXPECT_NEAR(sketch.Quantile(q), obs::HistogramQuantile(histogram, q),
-                0.05)
-        << "q=" << q;
-  }
-}
-
 TEST(QuantileSketch, JsonRoundTripAndHostileInputs) {
   obs::QuantileSketch sketch(0.01);
   for (double v : {-3.0, -0.5, 0.0, 0.25, 1.0, 1.0, 7.5}) sketch.Insert(v);

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "core/parallel.h"
 #include "obs/json.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
@@ -48,94 +52,42 @@ TEST(MetricsTest, MacroCachesOneCounterPerCallSite) {
   EXPECT_EQ(direct->Value(), 10);
 }
 
-TEST(MetricsTest, HistogramBucketEdgesAreInclusiveUpperBounds) {
-  Histogram hist({1.0, 10.0, 100.0});
-  hist.Observe(0.5);    // bucket 0
-  hist.Observe(1.0);    // bucket 0: edges are inclusive ("le")
-  hist.Observe(1.0001); // bucket 1
-  hist.Observe(10.0);   // bucket 1
-  hist.Observe(99.9);   // bucket 2
-  hist.Observe(100.0);  // bucket 2
-  hist.Observe(100.5);  // overflow
-  const std::vector<int64_t> counts = hist.BucketCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2);
-  EXPECT_EQ(counts[1], 2);
-  EXPECT_EQ(counts[2], 2);
-  EXPECT_EQ(counts[3], 1);
-  EXPECT_EQ(hist.Count(), 7);
-  EXPECT_NEAR(hist.Sum(), 0.5 + 1.0 + 1.0001 + 10.0 + 99.9 + 100.0 + 100.5,
-              1e-9);
-}
-
-TEST(MetricsTest, HistogramQuantileInterpolatesWithinBuckets) {
-  Histogram empty({1.0, 2.0});
-  EXPECT_EQ(HistogramQuantile(empty, 0.5), 0.0);
-
-  Histogram hist({1.0, 10.0, 100.0});
-  // 10 observations in (1, 10]: every quantile lands in that bucket and
-  // interpolates across it linearly.
-  for (int i = 0; i < 10; ++i) hist.Observe(5.0);
-  EXPECT_NEAR(HistogramQuantile(hist, 0.5), 1.0 + 0.5 * 9.0, 1e-9);
-  EXPECT_NEAR(HistogramQuantile(hist, 1.0), 10.0, 1e-9);
-  EXPECT_LE(HistogramQuantile(hist, 0.1), HistogramQuantile(hist, 0.9));
-
-  // Overflow observations clamp to the last finite bound.
-  Histogram overflow({1.0});
-  overflow.Observe(50.0);
-  EXPECT_EQ(HistogramQuantile(overflow, 0.99), 1.0);
-}
-
-TEST(MetricsTest, HistogramConcurrentObserveCountsEveryValue) {
-  Histogram hist(DefaultLatencyBounds());
-  constexpr int kThreads = 4;
-  constexpr int kObsPerThread = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&hist, t]() {
-      for (int i = 0; i < kObsPerThread; ++i) {
-        hist.Observe(1e-6 * (t + 1) * (i % 97 + 1));
-      }
-    });
+TEST(MetricsTest, HistogramReadsWithinOnePercent) {
+  // Regression: the old fixed-bucket histogram interpolated inside the
+  // (1 ms, 3 ms] bucket and read p50 = 2.0 ms for 1.1 ms observations.
+  QuantileSketch* hist =
+      MetricsRegistry::Global().GetHistogram("test.hist.one_point_one_ms");
+  hist->Clear();
+  for (int i = 0; i < 1000; ++i) {
+    VGOD_HISTOGRAM_OBSERVE("test.hist.one_point_one_ms", 1.1e-3);
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(hist.Count(), int64_t{kThreads} * kObsPerThread);
-  int64_t bucket_total = 0;
-  for (int64_t c : hist.BucketCounts()) bucket_total += c;
-  EXPECT_EQ(bucket_total, hist.Count());
+  EXPECT_EQ(hist->alpha(), kHistogramAlpha);
+  EXPECT_EQ(hist->Count(), 1000);
+  EXPECT_NEAR(hist->Quantile(0.5), 1.1e-3, 1.1e-3 * 0.01);
+  EXPECT_NEAR(hist->Quantile(0.99), 1.1e-3, 1.1e-3 * 0.01);
 }
 
-TEST(MetricsTest, HistogramQuantileEdgeCases) {
-  // No bounds at all: every quantile collapses to 0.
-  Histogram unbounded({});
-  EXPECT_EQ(HistogramQuantile(unbounded, 0.5), 0.0);
-  unbounded.Observe(3.0);  // lands in the only (overflow) bucket
-  EXPECT_EQ(HistogramQuantile(unbounded, 0.0), 0.0);
-  EXPECT_EQ(HistogramQuantile(unbounded, 0.5), 0.0);
-  EXPECT_EQ(HistogramQuantile(unbounded, 1.0), 0.0);
+// Cumulative `_bucket` values of one histogram family in a Prometheus
+// exposition, in the order they appear (+Inf last), plus its `_count`.
+struct PromHistogram {
+  std::vector<double> buckets;
+  double count = -1.0;
+};
 
-  // Empty histogram with bounds: still 0, not the first bound.
-  Histogram empty({1.0, 2.0, 4.0});
-  for (double q : {0.0, 0.5, 0.99, 1.0}) {
-    EXPECT_EQ(HistogramQuantile(empty, q), 0.0) << "q=" << q;
+PromHistogram ParsePromHistogram(const std::string& text,
+                                 const std::string& sanitized) {
+  PromHistogram out;
+  std::istringstream stream(text);
+  std::string line;
+  while (std::getline(stream, line)) {
+    const double value = std::atof(line.c_str() + line.rfind(' ') + 1);
+    if (line.rfind(sanitized + "_bucket{", 0) == 0) {
+      out.buckets.push_back(value);
+    } else if (line.rfind(sanitized + "_count ", 0) == 0) {
+      out.count = value;
+    }
   }
-
-  // Single finite bucket: quantiles interpolate across [0, bound].
-  Histogram single({8.0});
-  for (int i = 0; i < 4; ++i) single.Observe(1.0);
-  EXPECT_NEAR(HistogramQuantile(single, 0.5), 4.0, 1e-9);
-  EXPECT_NEAR(HistogramQuantile(single, 1.0), 8.0, 1e-9);
-
-  // All mass in the +Inf overflow bucket: clamps to the last finite
-  // bound instead of inventing an infinite latency.
-  Histogram overflow({1.0, 2.0});
-  for (int i = 0; i < 10; ++i) overflow.Observe(100.0);
-  EXPECT_EQ(HistogramQuantile(overflow, 0.01), 2.0);
-  EXPECT_EQ(HistogramQuantile(overflow, 0.99), 2.0);
-
-  // Out-of-range q is clamped, not UB.
-  EXPECT_EQ(HistogramQuantile(overflow, -0.5), 2.0);
-  EXPECT_EQ(HistogramQuantile(overflow, 1.5), 2.0);
+  return out;
 }
 
 TEST(MetricsTest, RegistryConcurrentWritersAndScrapers) {
@@ -155,10 +107,8 @@ TEST(MetricsTest, RegistryConcurrentWritersAndScrapers) {
         registry.GetCounter("test.mt.shared")->Increment();
         registry.GetGauge("test.mt.gauge." + std::to_string(t))
             ->Set(static_cast<double>(i));
-        registry
-            .GetHistogram("test.mt.hist." + std::to_string(t % 3),
-                          DefaultLatencyBounds())
-            ->Observe(1e-5 * (i % 13 + 1));
+        registry.GetHistogram("test.mt.hist." + std::to_string(t % 3))
+            ->Insert(1e-5 * (i % 13 + 1));
       }
     });
   }
@@ -167,12 +117,28 @@ TEST(MetricsTest, RegistryConcurrentWritersAndScrapers) {
   std::thread json_scraper([&registry, &json]() {
     for (int i = 0; i < 20; ++i) json = registry.ToJson();
   });
-  std::thread prom_scraper([&registry, &prom]() {
-    for (int i = 0; i < 20; ++i) prom = registry.ToPrometheus();
+  // Every scrape reads one copy of each sketch, so even mid-write the
+  // ladder is cumulative and +Inf == _count.
+  int torn_scrapes = 0;
+  std::thread prom_scraper([&registry, &prom, &torn_scrapes]() {
+    for (int i = 0; i < 20; ++i) {
+      prom = registry.ToPrometheus();
+      for (int h = 0; h < 3; ++h) {
+        const PromHistogram parsed = ParsePromHistogram(
+            prom, "test_mt_hist_" + std::to_string(h));
+        if (parsed.buckets.empty()) continue;  // Not registered yet.
+        const bool cumulative = std::is_sorted(parsed.buckets.begin(),
+                                               parsed.buckets.end());
+        if (!cumulative || parsed.buckets.back() != parsed.count) {
+          ++torn_scrapes;
+        }
+      }
+    }
   });
   for (std::thread& t : threads) t.join();
   json_scraper.join();
   prom_scraper.join();
+  EXPECT_EQ(torn_scrapes, 0);
   EXPECT_EQ(registry.GetCounter("test.mt.shared")->Value(),
             int64_t{kThreads} * kIters);
   // Scrapes taken mid-write must still be parseable JSON.
@@ -186,10 +152,11 @@ TEST(MetricsTest, RegistryJsonRoundTrips) {
   registry.GetCounter("test.json.counter")->Reset();
   registry.GetCounter("test.json.counter")->Add(42);
   registry.GetGauge("test.json.gauge")->Set(2.5);
-  Histogram* hist = registry.GetHistogram("test.json.hist", {1.0, 2.0});
-  hist->Reset();
-  hist->Observe(0.5);
-  hist->Observe(3.0);
+  QuantileSketch* hist = registry.GetHistogram("test.json.hist");
+  hist->Clear();
+  hist->Insert(0.5);
+  hist->Insert(5.0);
+  hist->Insert(500.0);  // Past the last edge.
 
   Result<JsonValue> parsed = ParseJson(registry.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -199,14 +166,23 @@ TEST(MetricsTest, RegistryJsonRoundTrips) {
   EXPECT_EQ(root.at("gauges").at("test.json.gauge").number(), 2.5);
   const JsonValue& hist_json = root.at("histograms").at("test.json.hist");
   ASSERT_TRUE(hist_json.is_object());
-  EXPECT_EQ(hist_json.at("count").number(), 2.0);
+  EXPECT_EQ(hist_json.at("count").number(), 3.0);
+  EXPECT_NEAR(hist_json.at("sum").number(), 505.5, 1e-9);
+  // Per-bucket counts on the export ladder, overflow last.
+  const std::vector<double>& bounds = DefaultLatencyBounds();
   const JsonValue::Array& buckets = hist_json.at("buckets").array();
-  ASSERT_EQ(buckets.size(), 3u);  // Two bounds + overflow.
-  EXPECT_EQ(buckets[0].at("le").number(), 1.0);
-  EXPECT_EQ(buckets[0].at("count").number(), 1.0);
-  EXPECT_EQ(buckets[1].at("count").number(), 0.0);
-  EXPECT_EQ(buckets[2].at("le").string_value(), "inf");
-  EXPECT_EQ(buckets[2].at("count").number(), 1.0);
+  ASSERT_EQ(buckets.size(), bounds.size() + 1);
+  double total = 0.0;
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    EXPECT_EQ(buckets[i].at("le").number(), bounds[i]);
+    const double count = buckets[i].at("count").number();
+    EXPECT_EQ(count, bounds[i] == 1.0 || bounds[i] == 10.0 ? 1.0 : 0.0)
+        << "le=" << bounds[i];
+    total += count;
+  }
+  EXPECT_EQ(buckets.back().at("le").string_value(), "inf");
+  EXPECT_EQ(buckets.back().at("count").number(), 1.0);
+  EXPECT_EQ(total + buckets.back().at("count").number(), 3.0);
 }
 
 TEST(PrometheusTest, SanitizeMetricNameMapsToGrammar) {
@@ -255,17 +231,29 @@ TEST(PrometheusTest, CounterAndGaugeExposition) {
 
 TEST(PrometheusTest, HistogramBucketsAreCumulativeAndEndAtInf) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  Histogram* hist = registry.GetHistogram("test.prom.hist", {0.1, 1.0, 10.0});
-  hist->Reset();
-  hist->Observe(0.05);
-  hist->Observe(0.5);
-  hist->Observe(5.0);
-  hist->Observe(50.0);  // Overflow.
+  QuantileSketch* hist = registry.GetHistogram("test.prom.hist");
+  hist->Clear();
+  hist->Insert(0.05);
+  hist->Insert(0.5);
+  hist->Insert(5.0);
+  hist->Insert(500.0);  // Past the last edge.
 
   const std::string text = registry.ToPrometheus();
   const std::vector<std::string> buckets =
       LinesWithPrefix(text, "test_prom_hist_bucket");
-  ASSERT_EQ(buckets.size(), 4u);  // Three bounds + +Inf.
+  ASSERT_EQ(buckets.size(), DefaultLatencyBounds().size() + 1);
+  // Each edge reports the sketch's mass at or below it.
+  const std::vector<double>& bounds = DefaultLatencyBounds();
+  const std::vector<double> cumulative =
+      ParsePromHistogram(text, "test_prom_hist").buckets;
+  const auto at = [&](double le) {
+    return cumulative[std::find(bounds.begin(), bounds.end(), le) -
+                      bounds.begin()];
+  };
+  EXPECT_EQ(at(0.03), 0.0);
+  EXPECT_EQ(at(0.1), 1.0);
+  EXPECT_EQ(at(1.0), 2.0);
+  EXPECT_EQ(at(100.0), 3.0);
   // Cumulative counts, monotonically non-decreasing, +Inf last.
   double prev = -1.0;
   for (const std::string& line : buckets) {
@@ -286,7 +274,7 @@ TEST(PrometheusTest, HistogramBucketsAreCumulativeAndEndAtInf) {
       LinesWithPrefix(text, "test_prom_hist_sum");
   ASSERT_EQ(sum_lines.size(), 1u);
   EXPECT_NEAR(std::stod(sum_lines[0].substr(sum_lines[0].rfind(' '))),
-              0.05 + 0.5 + 5.0 + 50.0, 1e-9);
+              0.05 + 0.5 + 5.0 + 500.0, 1e-9);
 }
 
 TEST(PrometheusTest, EveryMetricHasHelpAndTypeLines) {
@@ -351,46 +339,126 @@ TEST(JsonTest, NonFiniteNumbersSerializeAsZero) {
   EXPECT_EQ(out, "0");
 }
 
-// --- trace ---
+// --- timeline (the scope's second sink) ---
 
-class TraceTest : public ::testing::Test {
+class TimelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    was_enabled_ = TraceEnabled();
     ClearTrace();
+    ClearProfile();
+    SetProfileEnabled(false);
     SetTraceEnabled(true);
   }
   void TearDown() override {
+    SetTraceEnabled(false);
+    SetProfileEnabled(false);
     ClearTrace();
-    SetTraceEnabled(was_enabled_);
+    ClearProfile();
   }
-  bool was_enabled_ = false;
+
+  static std::vector<TraceEvent> EventsNamed(const std::string& name) {
+    std::vector<TraceEvent> out;
+    for (const TraceEvent& event : SnapshotTraceEvents()) {
+      if (event.name == name) out.push_back(event);
+    }
+    return out;
+  }
+
+  // Calls the call tree recorded for top-level scope `name` (0 if none).
+  static int64_t TreeCalls(const std::string& name) {
+    for (const ProfileNode& child : SnapshotProfile().children) {
+      if (child.name == name) return child.calls;
+    }
+    return 0;
+  }
 };
 
-TEST_F(TraceTest, NestedSpansRecordInnerFirstAndNestWithinOuter) {
+TEST_F(TimelineTest, NestedScopesGiveContainedCompleteEvents) {
   {
-    VGOD_TRACE_SPAN("outer");
-    VGOD_TRACE_SPAN("inner");
+    VGOD_PROFILE_SCOPE("test/outer");
+    VGOD_PROFILE_SCOPE("test/inner");
   }
   const std::vector<TraceEvent> events = SnapshotTraceEvents();
   ASSERT_EQ(events.size(), 2u);
   // Destruction order: inner closes (and records) before outer.
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[1].name, "outer");
+  EXPECT_EQ(events[0].name, "test/inner");
+  EXPECT_EQ(events[1].name, "test/outer");
+  EXPECT_EQ(events[0].tid, events[1].tid);
   EXPECT_GE(events[0].ts_us, events[1].ts_us);
   EXPECT_LE(events[0].ts_us + events[0].dur_us,
             events[1].ts_us + events[1].dur_us);
+  // The tree sink was off: the timeline recorded without it.
+  EXPECT_EQ(TreeCalls("test/outer"), 0);
 }
 
-TEST_F(TraceTest, DisabledTracingRecordsNothing) {
+TEST_F(TimelineTest, BothSinksOffRecordNothing) {
   SetTraceEnabled(false);
   {
-    VGOD_TRACE_SPAN("invisible");
+    VGOD_PROFILE_SCOPE("test/invisible");
   }
   EXPECT_EQ(TraceEventCount(), 0u);
+  EXPECT_EQ(TreeCalls("test/invisible"), 0);
 }
 
-TEST_F(TraceTest, TraceJsonIsChromeTraceEventFormat) {
+TEST_F(TimelineTest, ProfileWindowLeavesTimelineRunning) {
+  // A /debug/profile window toggles only the tree bit.
+  SetProfileEnabled(true);
+  { VGOD_PROFILE_SCOPE("test/in_window"); }
+  SetProfileEnabled(false);
+  { VGOD_PROFILE_SCOPE("test/after_window"); }
+  EXPECT_TRUE(TraceEnabled());
+  EXPECT_EQ(EventsNamed("test/in_window").size(), 1u);
+  EXPECT_EQ(EventsNamed("test/after_window").size(), 1u);
+  EXPECT_EQ(TreeCalls("test/in_window"), 1);
+  EXPECT_EQ(TreeCalls("test/after_window"), 0);
+}
+
+TEST_F(TimelineTest, TimelineOffLeavesTreeRunning) {
+  SetTraceEnabled(false);
+  SetProfileEnabled(true);
+  { VGOD_PROFILE_SCOPE("test/tree_only"); }
+  EXPECT_EQ(TraceEventCount(), 0u);
+  EXPECT_EQ(TreeCalls("test/tree_only"), 1);
+}
+
+TEST_F(TimelineTest, PoolThreadScopesReachTheTimeline) {
+  // Scopes opened inside ParallelFor chunks append from the pool threads
+  // concurrently; a TSan target under the `threads` label.
+  const int previous_threads = par::NumThreads();
+  par::SetNumThreads(4);
+  std::atomic<int> chunks{0};
+  par::ParallelFor(0, 4096, 64, [&chunks](int64_t, int64_t) {
+    VGOD_PROFILE_SCOPE("test/chunk");
+    chunks.fetch_add(1, std::memory_order_relaxed);
+  });
+  par::SetNumThreads(previous_threads);
+  const std::vector<TraceEvent> events = EventsNamed("test/chunk");
+  EXPECT_EQ(static_cast<int>(events.size()), chunks.load());
+  EXPECT_GE(events.size(), 1u);
+  for (const TraceEvent& event : events) EXPECT_GE(event.dur_us, 0);
+}
+
+TEST(SinkEnvTest, ProfileAndTraceShareOnePathRule) {
+  const char* kVar = "VGOD_OBS_TEST_SINK";
+  std::string path;
+  unsetenv(kVar);
+  EXPECT_FALSE(profile_internal::ReadSinkEnv(kVar, &path));
+  setenv(kVar, "0", 1);
+  EXPECT_FALSE(profile_internal::ReadSinkEnv(kVar, &path));
+  setenv(kVar, "1", 1);
+  EXPECT_TRUE(profile_internal::ReadSinkEnv(kVar, &path));
+  EXPECT_EQ(path, "");
+  // Any '.' or '/' makes the value a path, whatever the extension.
+  for (const char* value : {"run.trace", "out/trace", "profile.folded"}) {
+    setenv(kVar, value, 1);
+    path.clear();
+    EXPECT_TRUE(profile_internal::ReadSinkEnv(kVar, &path));
+    EXPECT_EQ(path, value);
+  }
+  unsetenv(kVar);
+}
+
+TEST_F(TimelineTest, TraceJsonIsChromeTraceEventFormat) {
   RecordCompleteEvent("phase/a", 10, 5);
   RecordCompleteEvent("phase/b", 20, 1);
   Result<JsonValue> parsed = ParseJson(TraceToJson());
@@ -407,37 +475,7 @@ TEST_F(TraceTest, TraceJsonIsChromeTraceEventFormat) {
   EXPECT_TRUE(events[0].Has("tid"));
 }
 
-TEST_F(TraceTest, FlowEventsCarryPhaseAndId) {
-  RecordFlowEvent("serve/request", 42, /*finish=*/false);
-  RecordFlowEvent("serve/request", 42, /*finish=*/true);
-  const std::vector<TraceEvent> events = SnapshotTraceEvents();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].ph, 's');
-  EXPECT_EQ(events[1].ph, 'f');
-  EXPECT_EQ(events[0].flow_id, 42u);
-  EXPECT_EQ(events[1].flow_id, 42u);
-  EXPECT_LE(events[0].ts_us, events[1].ts_us);
-
-  Result<JsonValue> parsed = ParseJson(TraceToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue::Array& json = parsed.value().at("traceEvents").array();
-  ASSERT_EQ(json.size(), 2u);
-  EXPECT_EQ(json[0].at("ph").string_value(), "s");
-  EXPECT_EQ(json[0].at("id").number(), 42.0);
-  EXPECT_FALSE(json[0].Has("dur"));  // Flow events are instantaneous.
-  EXPECT_EQ(json[1].at("ph").string_value(), "f");
-  // Finishes bind to the enclosing slice so the arrow lands on the span
-  // that consumed the request.
-  EXPECT_EQ(json[1].at("bp").string_value(), "e");
-}
-
-TEST_F(TraceTest, FlowEventsAreNoOpsWhenDisabled) {
-  SetTraceEnabled(false);
-  RecordFlowEvent("serve/request", 7, false);
-  EXPECT_EQ(TraceEventCount(), 0u);
-}
-
-TEST_F(TraceTest, WriteTraceProducesReadableFile) {
+TEST_F(TimelineTest, WriteTraceProducesReadableFile) {
   RecordCompleteEvent("io/span", 0, 3);
   const std::string path = ::testing::TempDir() + "/vgod_trace_test.json";
   ASSERT_TRUE(WriteTrace(path).ok());

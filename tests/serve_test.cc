@@ -404,10 +404,11 @@ TEST(ScoringEngineTest, StageTimingThreadsThroughRequests) {
   EXPECT_GT(subgraph.value().timing.score_seconds, 0.0);
 
   // The stage histograms saw every request.
-  obs::Histogram* queue_wait = obs::MetricsRegistry::Global().GetHistogram(
-      "serve.stage.queue_wait.seconds", obs::DefaultLatencyBounds());
-  obs::Histogram* score = obs::MetricsRegistry::Global().GetHistogram(
-      "serve.stage.score.seconds", obs::DefaultLatencyBounds());
+  const obs::QuantileSketch* queue_wait =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "serve.stage.queue_wait.seconds");
+  const obs::QuantileSketch* score =
+      obs::MetricsRegistry::Global().GetHistogram("serve.stage.score.seconds");
   EXPECT_GE(queue_wait->Count(), 3);
   EXPECT_GE(score->Count(), 3);
   engine->Shutdown();

@@ -11,6 +11,8 @@ score table, a stage timing that stopped filling), not machine-to-machine
 jitter. Structural invariants are checked unconditionally:
 
   * p50 <= p99 for end-to-end and per-stage latency,
+  * engine-side p50/p99 (the serve.request.latency.seconds sketch) at most
+    1.01x the client-observed p50/p99 at every concurrency level,
   * exactly one detector Score() call per client-concurrency run (the
     engine keeps one score table per snapshot and the graph is static),
   * every baseline metric present in the fresh manifest.
@@ -263,6 +265,14 @@ def check_invariants(report):
               f"static snapshot, want exactly 1")
         check(0 < config.get("p50_ms", -1) <= config.get("p99_ms", -1),
               f"{tag}: latency quantiles inverted or non-positive")
+        # The engine never reports more latency than the client saw: each
+        # engine-side request is timed inside the client's round trip, so
+        # only the sketch's 1% relative error may separate the two.
+        for q in ("p50_ms", "p99_ms"):
+            engine, client = config.get(f"engine_{q}"), config.get(q, 0)
+            check(engine is not None and engine <= client * 1.01,
+                  f"{tag}: engine {q} {engine} exceeds client-observed "
+                  f"{client} (x1.01)")
         for stage, quantiles in (config.get("stages") or {}).items():
             check(0 <= quantiles.get("p50_ms", -1)
                   <= quantiles.get("p99_ms", -1),

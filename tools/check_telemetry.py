@@ -10,7 +10,9 @@ export formats are well-formed and mutually consistent:
   * --metrics_out JSON: counters/gauges/histograms envelope; the matmul
     counters must have moved during training.
   * --trace_out Chrome trace JSON: a traceEvents array of complete ("X")
-    events including the per-epoch and whole-fit spans.
+    events with no drops: exactly one <Detector>/epoch span per epoch (no
+    lowercase aliases), the whole-fit span, and profiler kernel scopes
+    nested inside an epoch on the same thread.
 
 Run directly (`python3 tools/check_telemetry.py --cli build/tools/vgod_cli`)
 or via ctest (registered as check_telemetry).
@@ -126,22 +128,47 @@ def validate_metrics(path):
               f"{hist['count']}")
 
 
-def validate_trace(path, detector, expected_epochs):
+def validate_trace(path, records):
     trace = json.loads(Path(path).read_text())
     check("traceEvents" in trace, "trace JSON missing 'traceEvents'")
     events = trace.get("traceEvents", [])
     check(events, "trace has no events")
-    names = [e.get("name") for e in events]
     for event in events:
         check(event.get("ph") == "X", f"non-complete event: {event}")
         for key in ("ts", "dur", "pid", "tid", "name"):
             check(key in event, f"trace event missing '{key}': {event}")
         check(event.get("dur", -1) >= 0, f"negative duration: {event}")
-    epoch_spans = names.count(f"{detector}/epoch")
-    check(epoch_spans == expected_epochs,
-          f"expected {expected_epochs} {detector}/epoch spans, got "
-          f"{epoch_spans}")
-    check(f"{detector}/fit" in names, f"missing {detector}/fit span")
+    check(trace.get("otherData", {}).get("dropped") == 0,
+          f"trace ring dropped events: {trace.get('otherData')}")
+
+    # Each training epoch appears exactly once: TrainingRun's
+    # <Detector>/epoch span and no other "*/epoch" alias (vbm/epoch).
+    expected = {}
+    for record in records:
+        name = f"{record['detector']}/epoch"
+        expected[name] = expected.get(name, 0) + 1
+    seen = {}
+    for event in events:
+        name = event.get("name", "")
+        if name.endswith("/epoch"):
+            seen[name] = seen.get(name, 0) + 1
+    check(seen == expected,
+          f"epoch spans {seen} != one per telemetry record {expected}")
+    names = {e.get("name") for e in events}
+    for detector in {r["detector"] for r in records}:
+        check(f"{detector}/fit" in names, f"missing {detector}/fit span")
+
+    # Kernel scopes reach the timeline, nested inside the epoch that ran
+    # them on the same thread.
+    epochs = [e for e in events if e.get("name") in expected]
+    kernels = [e for e in events
+               if str(e.get("name", "")).startswith("kernel/")]
+    nested = any(
+        k["tid"] == ep["tid"] and ep["ts"] <= k["ts"] and
+        k["ts"] + k["dur"] <= ep["ts"] + ep["dur"]
+        for k in kernels for ep in epochs)
+    check(nested, f"no kernel/* event inside an epoch span "
+                  f"({len(kernels)} kernel events, {len(epochs)} epochs)")
 
 
 def main():
@@ -170,7 +197,7 @@ def main():
         records = validate_telemetry(telemetry, detect.stderr)
         validate_metrics(metrics)
         if records:
-            validate_trace(trace, args.detector, len(records))
+            validate_trace(trace, records)
 
     return finish("check_telemetry", "all artifacts consistent")
 
