@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "obs/profile.h"
 #include "tensor/kernels.h"
 
 namespace vgod {
@@ -18,6 +19,7 @@ namespace internal {
 
 void AutogradNode::AccumulateGrad(const Tensor& g) {
   if (!requires_grad) return;
+  VGOD_PROFILE_SCOPE("autograd/accumulate_grad");
   VGOD_CHECK(g.SameShape(value))
       << "gradient shape " << g.ShapeString() << " vs value "
       << value.ShapeString() << " in op " << op_name;
@@ -122,6 +124,9 @@ void Variable::Backward() const {
       << node_->value.ShapeString();
   VGOD_CHECK(node_->requires_grad)
       << "Backward() on a graph with no trainable parameters";
+  // Covers the tape walk and the closures' own loops; the kernels and
+  // AccumulateGrad calls inside them nest below as their own scopes.
+  VGOD_PROFILE_SCOPE("autograd/backward");
 
   std::vector<internal::AutogradNode*> order;
   TopologicalOrder(node_.get(), &order);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "obs/profile.h"
 #include "tensor/kernels.h"
 
 namespace vgod::ag {
@@ -104,35 +105,36 @@ Variable AddRowVector(const Variable& x, const Variable& bias) {
       "AddRowVector");
 }
 
+namespace {
+
+// out[i][j] = x[i][j] * w[i][0]: the forward of MulRowsByColVector and the
+// x half of its backward.
+Tensor ScaleRows(const Tensor& x, const Tensor& w) {
+  VGOD_PROFILE_SCOPE("kernel/mul_rows_by_col_vector");
+  Tensor out(x.rows(), x.cols());
+  for (int i = 0; i < x.rows(); ++i) {
+    const float wi = w.At(i, 0);
+    const size_t base = static_cast<size_t>(i) * x.cols();
+    for (int j = 0; j < x.cols(); ++j) {
+      out.data()[base + j] = x.data()[base + j] * wi;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 Variable MulRowsByColVector(const Variable& x, const Variable& w) {
   VGOD_CHECK_EQ(w.cols(), 1);
   VGOD_CHECK_EQ(w.rows(), x.rows());
-  const Tensor& xv = x.value();
-  const Tensor& wv = w.value();
-  Tensor out(xv.rows(), xv.cols());
-  for (int i = 0; i < xv.rows(); ++i) {
-    const float wi = wv.At(i, 0);
-    const size_t base = static_cast<size_t>(i) * xv.cols();
-    for (int j = 0; j < xv.cols(); ++j) {
-      out.data()[base + j] = xv.data()[base + j] * wi;
-    }
-  }
-  Tensor xc = xv;
-  Tensor wc = wv;
+  Tensor xc = x.value();
+  Tensor wc = w.value();
   return Variable::FromOp(
-      std::move(out), {x, w},
+      ScaleRows(xc, wc), {x, w},
       [xc, wc](AutogradNode& self) {
         const Tensor& g = self.grad;
         if (self.inputs[0]->requires_grad) {
-          Tensor gx(xc.rows(), xc.cols());
-          for (int i = 0; i < xc.rows(); ++i) {
-            const float wi = wc.At(i, 0);
-            const size_t base = static_cast<size_t>(i) * xc.cols();
-            for (int j = 0; j < xc.cols(); ++j) {
-              gx.data()[base + j] = g.data()[base + j] * wi;
-            }
-          }
-          self.inputs[0]->AccumulateGrad(gx);
+          self.inputs[0]->AccumulateGrad(ScaleRows(g, wc));
         }
         if (self.inputs[1]->requires_grad) {
           self.inputs[1]->AccumulateGrad(k::RowSums(k::Mul(g, xc)));

@@ -1,7 +1,9 @@
 #include "tensor/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "core/parallel.h"
 #include "obs/metrics.h"
@@ -40,6 +42,81 @@ void CountMatMulWork(int64_t m, int64_t n, int64_t k) {
       (m * k + k * n + m * n) * static_cast<int64_t>(sizeof(float));
   VGOD_COUNTER_ADD("tensor.matmul.bytes", bytes);
   obs::ProfileAddBytes(bytes);
+}
+
+/// Width of the C column panel GemmRows keeps in registers: 32 floats are
+/// eight SSE vectors, which leaves the other half of x86-64's sixteen
+/// vector registers for the broadcast A value and the B loads.
+constexpr int kPanel = 32;
+
+/// Four floats in one SSE register (GCC/Clang vector extension).
+using Float4 = float __attribute__((vector_size(16)));
+
+/// One full 32-wide C row panel from an A row's `nnz` nonzeros (values
+/// `av` at ascending k indices `ak`): the running sums live in `acc` for
+/// the whole loop and C is written once. Written on Float4 lanes because
+/// GCC unroll-and-jams the plain-loop form of this nest into scalar code.
+inline void GemmPanel(const int* ak, const float* av, int nnz, const float* b,
+                      int n, float* crow) {
+  Float4 acc[kPanel / 4] = {};
+  for (int t = 0; t < nnz; ++t) {
+    const float* brow = b + static_cast<size_t>(ak[t]) * n;
+    for (int v = 0; v < kPanel / 4; ++v) {
+      Float4 bv;
+      std::memcpy(&bv, brow + 4 * v, sizeof(bv));
+      acc[v] += av[t] * bv;
+    }
+  }
+  std::memcpy(crow, acc, sizeof(acc));
+}
+
+/// The n % 32 tail panel, columns [0, width) with width < kPanel: the same
+/// products in the same order as GemmPanel.
+inline void GemmTail(const int* ak, const float* av, int nnz, const float* b,
+                     int n, int width, float* crow) {
+  float acc[kPanel] = {};
+  for (int t = 0; t < nnz; ++t) {
+    const float* brow = b + static_cast<size_t>(ak[t]) * n;
+    for (int j = 0; j < width; ++j) acc[j] += av[t] * brow[j];
+  }
+  for (int j = 0; j < width; ++j) crow[j] = acc[j];
+}
+
+/// The one dense GEMM core behind MatMul and MatMulNT: for output rows
+/// i in [lo, hi), C[i][j] = sum over kk of A[i][kk] * B[kk][j], with A
+/// (rows of k), B (k x n, `b_k_by_n`) and C (rows of n) all row-major.
+/// Each A row's nonzeros are gathered once (attribute rows are mostly
+/// zeros), then the row is cut into 32-wide column panels plus one n % 32
+/// tail panel that all run over the gathered list. Every C[i][j] starts
+/// from 0 and adds its products in float in ascending kk, whatever the
+/// panel or the ParallelFor chunk, so results are bit-identical at any
+/// pool width (docs/PARALLELISM.md). Every C entry is written, so C need
+/// not be zeroed (k == 0 gives zeros).
+///
+/// Zero-skip rule: a kk with A[i][kk] == 0 is skipped. So a NaN or Inf in
+/// B[kk][j] reaches C[i][j] only when A[i][kk] is nonzero; 0 * Inf does
+/// not poison the row. MatMulTN applies the same rule.
+void GemmRows(const float* a, const float* b_k_by_n, int k, int n, float* c,
+              int64_t lo, int64_t hi) {
+  std::vector<int> ak(k);
+  std::vector<float> av(k);
+  for (int64_t i = lo; i < hi; ++i) {
+    const float* arow = a + static_cast<size_t>(i) * k;
+    float* crow = c + static_cast<size_t>(i) * n;
+    int nnz = 0;
+    for (int kk = 0; kk < k; ++kk) {
+      ak[nnz] = kk;
+      av[nnz] = arow[kk];
+      nnz += arow[kk] != 0.0f;
+    }
+    int j0 = 0;
+    for (; j0 + kPanel <= n; j0 += kPanel) {
+      GemmPanel(ak.data(), av.data(), nnz, b_k_by_n + j0, n, crow + j0);
+    }
+    if (j0 < n) {
+      GemmTail(ak.data(), av.data(), nnz, b_k_by_n + j0, n, n - j0, crow + j0);
+    }
+  }
 }
 
 // Applies `fn` elementwise into a fresh tensor. `scope` is the profiler
@@ -85,28 +162,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   VGOD_PROFILE_SCOPE("kernel/matmul");
   VGOD_COUNTER_INC("tensor.matmul.calls");
   CountMatMulWork(m, n, k);
-  Tensor out = Tensor::Zeros(m, n);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
-  // i-k-j loop order: the inner j loop is a contiguous saxpy that the
-  // compiler auto-vectorizes; this is the hot kernel of the whole library.
-  // Row-parallel: each output row is one serial i-iteration, so the split
-  // never changes the summation order.
-  par::ParallelFor(
-      0, m, RowGrain(static_cast<int64_t>(k) * n),
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const float* arow = pa + static_cast<size_t>(i) * k;
-          float* crow = pc + static_cast<size_t>(i) * n;
-          for (int kk = 0; kk < k; ++kk) {
-            const float aval = arow[kk];
-            if (aval == 0.0f) continue;  // Attributes are often sparse.
-            const float* brow = pb + static_cast<size_t>(kk) * n;
-            for (int j = 0; j < n; ++j) crow[j] += aval * brow[j];
-          }
-        }
-      });
+  Tensor out(m, n);
+  par::ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
+                   [&](int64_t lo, int64_t hi) {
+                     GemmRows(a.data(), b.data(), k, n, out.data(), lo, hi);
+                   });
   return out;
 }
 
@@ -116,24 +176,14 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
   VGOD_PROFILE_SCOPE("kernel/matmul_nt");
   VGOD_COUNTER_INC("tensor.matmul_nt.calls");
   CountMatMulWork(m, n, k);
+  // One k x n copy of B^T turns every row of C into the same contiguous
+  // panel loop as MatMul; the copy is O(kn) against the O(mkn) product.
+  const Tensor bt = Transpose(b);
   Tensor out(m, n);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
-  par::ParallelFor(
-      0, m, RowGrain(static_cast<int64_t>(k) * n),
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const float* arow = pa + static_cast<size_t>(i) * k;
-          float* crow = pc + static_cast<size_t>(i) * n;
-          for (int j = 0; j < n; ++j) {
-            const float* brow = pb + static_cast<size_t>(j) * k;
-            double acc = 0.0;
-            for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-            crow[j] = static_cast<float>(acc);
-          }
-        }
-      });
+  par::ParallelFor(0, m, RowGrain(static_cast<int64_t>(k) * n),
+                   [&](int64_t lo, int64_t hi) {
+                     GemmRows(a.data(), bt.data(), k, n, out.data(), lo, hi);
+                   });
   return out;
 }
 
@@ -149,7 +199,10 @@ Tensor MatMulTN(const Tensor& a, const Tensor& b) {
   float* pc = out.data();
   // Split over output rows (columns of A); kk stays the outer loop inside
   // each chunk, so each C[i][j] accumulates in ascending-kk order exactly
-  // as the serial kernel does.
+  // as the serial kernel does. TN keeps this loop instead of GemmRows:
+  // through the core (strided A, or a transposed copy of A) it measured
+  // slower on the tall-skinny A^T * dY shapes of the GNN backwards. Same
+  // zero-skip rule as GemmRows.
   par::ParallelFor(
       0, m, RowGrain(static_cast<int64_t>(k) * n),
       [&](int64_t lo, int64_t hi) {

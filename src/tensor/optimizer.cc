@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/profile.h"
 #include "tensor/kernels.h"
 
 namespace vgod {
@@ -19,6 +20,7 @@ void Optimizer::ZeroGrad() {
 }
 
 double Optimizer::GradNorm() const {
+  VGOD_PROFILE_SCOPE("optim/grad_norm");
   double acc = 0.0;
   for (const Variable& p : params_) {
     if (!p.has_grad()) continue;
@@ -75,6 +77,7 @@ Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2,
 }
 
 void Adam::Step() {
+  VGOD_PROFILE_SCOPE("optim/adam_step");
   ++step_count_;
   const float bias1 =
       1.0f - std::pow(beta1_, static_cast<float>(step_count_));

@@ -147,14 +147,23 @@ void ExpectThreadInvariant(const char* what, const Op& op) {
 TEST_F(ParallelKernelsTest, DenseKernelsAreThreadCountInvariant) {
   Rng rng(11);
   // Awkward shapes: empty, single row, prime dims that divide nothing,
-  // and rows >> any per-chunk grain.
-  const std::pair<int, int> shapes[] = {{0, 5}, {1, 7}, {17, 13}, {1000, 3}};
+  // and rows >> any per-chunk grain. {70, 33} and {40, 64} give the
+  // matmuls full 32-wide column panels of the GEMM core plus tail panels.
+  const std::pair<int, int> shapes[] = {{0, 5},   {1, 7},   {17, 13},
+                                        {1000, 3}, {70, 33}, {40, 64}};
   for (const auto& [rows, cols] : shapes) {
     const Tensor a = Tensor::RandomNormal(rows, cols, 0, 1, &rng);
     const Tensor b = Tensor::RandomNormal(rows, cols, 0, 1, &rng);
     const Tensor c = Tensor::RandomNormal(cols, rows, 0, 1, &rng);
     const Tensor row = Tensor::RandomNormal(1, cols, 0, 1, &rng);
     ExpectThreadInvariant("MatMul", [&] { return kernels::MatMul(a, c); });
+    // Mostly-zero rows: the GEMM core gathers each row's nonzeros.
+    Tensor sparse_a = a.Clone();
+    for (int64_t i = 0; i < sparse_a.size(); ++i) {
+      if (i % 4 != 0) sparse_a.data()[i] = 0.0f;
+    }
+    ExpectThreadInvariant("MatMul sparse A",
+                          [&] { return kernels::MatMul(sparse_a, c); });
     ExpectThreadInvariant("MatMulNT", [&] { return kernels::MatMulNT(a, b); });
     ExpectThreadInvariant("MatMulTN", [&] { return kernels::MatMulTN(a, b); });
     ExpectThreadInvariant("Transpose", [&] { return kernels::Transpose(a); });

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "core/rng.h"
 #include "tensor/kernels.h"
@@ -215,6 +218,110 @@ TEST(KernelsTest, MatMulSkipsZerosCorrectly) {
   // Reference via transpose identity.
   Tensor reference = k::Transpose(k::MatMulTN(b, k::Transpose(a)));
   EXPECT_LT(k::MaxAbsDiff(fast, reference), 1e-4f);
+}
+
+// Element-by-element transpose, independent of the kernels under test.
+Tensor NaiveTranspose(const Tensor& x) {
+  Tensor out(x.cols(), x.rows());
+  for (int i = 0; i < x.rows(); ++i) {
+    for (int j = 0; j < x.cols(); ++j) out.SetAt(j, i, x.At(i, j));
+  }
+  return out;
+}
+
+// A * B via the three dense variants: MatMul(A, B), MatMulNT(A, B^T) and
+// MatMulTN(A^T, B).
+std::vector<std::pair<const char*, Tensor>> MatMulFamily(const Tensor& a,
+                                                         const Tensor& b) {
+  std::vector<std::pair<const char*, Tensor>> out;
+  out.emplace_back("MatMul", k::MatMul(a, b));
+  out.emplace_back("MatMulNT", k::MatMulNT(a, NaiveTranspose(b)));
+  out.emplace_back("MatMulTN", k::MatMulTN(NaiveTranspose(a), b));
+  return out;
+}
+
+TEST(KernelsTest, MatMulFamilyMatchesNaiveReference) {
+  Rng rng(23);
+  // n straddles the 32-wide column panels of the GEMM core: below one,
+  // exactly one, one plus a tail, several plus a tail. k = 0 must give
+  // exact zeros (reference 0, tolerance ~0): the core writes every C entry
+  // instead of starting from a zeroed tensor.
+  for (int n : {1, 7, 31, 32, 33, 64, 65, 130}) {
+    for (int kdim : {0, 1, 3, 257}) {
+      for (int m : {1, 5}) {
+        // Zero patterns of A: none; every third entry; all but every
+        // fourth (the core gathers each row's nonzeros).
+        for (int zeros : {0, 1, 2}) {
+          Tensor a = Tensor::RandomNormal(m, kdim, 0, 1, &rng);
+          for (int64_t i = 0; i < a.size(); ++i) {
+            if ((zeros == 1 && i % 3 == 0) || (zeros == 2 && i % 4 != 0)) {
+              a.data()[i] = 0.0f;
+            }
+          }
+          const Tensor b = Tensor::RandomNormal(kdim, n, 0, 1, &rng);
+          for (const auto& [name, c] : MatMulFamily(a, b)) {
+            ASSERT_EQ(c.rows(), m) << name;
+            ASSERT_EQ(c.cols(), n) << name;
+            for (int i = 0; i < m; ++i) {
+              for (int j = 0; j < n; ++j) {
+                double ref = 0.0, scale = 0.0;
+                for (int kk = 0; kk < kdim; ++kk) {
+                  const double p =
+                      static_cast<double>(a.At(i, kk)) * b.At(kk, j);
+                  ref += p;
+                  scale += std::fabs(p);
+                }
+                EXPECT_NEAR(c.At(i, j), ref, 1e-5 * scale + 1e-30)
+                    << name << " m=" << m << " k=" << kdim << " n=" << n
+                    << " zeros=" << zeros << " at (" << i << ", " << j
+                    << ")";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, MatMulFamilyPropagatesNonFiniteThroughNonzeroA) {
+  // Zero-skip rule: B[kk][j] reaches C[i][j] exactly when A(i, kk) != 0.
+  // The NaN sits in a full 32-wide panel, the Inf in the tail panel. A is
+  // checked mostly nonzero and mostly zero.
+  Rng rng(29);
+  const int m = 5, kdim = 40, n = 70;
+  const int nan_k = 3, nan_j = 5, inf_k = 7, inf_j = 66;
+  Tensor b = Tensor::RandomNormal(kdim, n, 0, 1, &rng);
+  b.SetAt(nan_k, nan_j, std::numeric_limits<float>::quiet_NaN());
+  b.SetAt(inf_k, inf_j, std::numeric_limits<float>::infinity());
+  Tensor dense = Tensor::RandomNormal(m, kdim, 0, 1, &rng);
+  dense.SetAt(1, nan_k, 0.0f);
+  dense.SetAt(4, nan_k, 0.0f);
+  dense.SetAt(2, inf_k, 0.0f);
+  // Nonzero only where (i + kk) % 4 == 0: row 1 in both special columns.
+  Tensor sparse = Tensor::RandomNormal(m, kdim, 0, 1, &rng);
+  for (int i = 0; i < m; ++i) {
+    for (int kk = 0; kk < kdim; ++kk) {
+      if ((i + kk) % 4 != 0) sparse.SetAt(i, kk, 0.0f);
+    }
+  }
+  for (const Tensor& a : {dense, sparse}) {
+    for (const auto& [name, c] : MatMulFamily(a, b)) {
+      for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < n; ++j) {
+          const float v = c.At(i, j);
+          if (j == nan_j && a.At(i, nan_k) != 0.0f) {
+            EXPECT_TRUE(std::isnan(v)) << name << " (" << i << ", " << j << ")";
+          } else if (j == inf_j && a.At(i, inf_k) != 0.0f) {
+            EXPECT_TRUE(std::isinf(v)) << name << " (" << i << ", " << j << ")";
+          } else {
+            EXPECT_TRUE(std::isfinite(v))
+                << name << " (" << i << ", " << j << ") = " << v;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
