@@ -212,7 +212,8 @@ int RunThreadSweep() {
       const double speedup = base_seconds / seconds;
       std::printf("%-34s %8d %12.3f %12.2fx\n", op.name.c_str(), threads,
                   gflops, speedup);
-      const std::string tag = "t" + std::to_string(threads);
+      std::string tag = "t";
+      tag += std::to_string(threads);
       bench::RecordManifestResult(op.name, tag, "gflops", gflops);
       bench::RecordManifestResult(op.name, tag, "speedup_vs_1", speedup);
     }

@@ -16,7 +16,11 @@
 //     of n and 4n nodes at EQUAL average degree and times the pure
 //     per-event incremental update. If updates cost O(deg) — not O(n) —
 //     the per-event microseconds stay flat as the graph quadruples;
-//     the reported ratio is the acceptance signal.
+//     the reported ratio is the acceptance signal. The same two graphs
+//     then go through a whole ScoringEngine (Deg detector, streaming on)
+//     as 16-event Ingest batches: the median batch time at 4n / n is the
+//     engine-level ratio, which also sees any O(V) work Ingest does
+//     beyond the store and scorer (a per-batch snapshot would show ~4).
 //
 //  3. (--drift) Model-drift probe (docs/OBSERVABILITY.md): fingerprints
 //     the trained model, fills a DriftMonitor window from served scores
@@ -50,6 +54,7 @@
 #include "core/args.h"
 #include "core/rng.h"
 #include "datasets/synthetic.h"
+#include "detectors/simple.h"
 #include "obs/drift.h"
 #include "obs/fingerprint.h"
 #include "obs/json.h"
@@ -213,7 +218,7 @@ MixedResult RunMixedPhase(const UnodCase& unod_case, int ingest_threads,
   out.score_requests = static_cast<int64_t>(merged.size());
   out.score_p50_ms = PercentileMs(&merged, 0.50);
   out.score_p99_ms = PercentileMs(&merged, 0.99);
-  out.final_nodes = engine.CurrentGraph()->num_nodes();
+  out.final_nodes = engine.resident_nodes();
 
   Result<std::vector<serve::WatchlistEntry>> watchlist = engine.Watchlist(5);
   VGOD_CHECK(watchlist.ok()) << watchlist.status().ToString();
@@ -274,6 +279,47 @@ ScalePoint RunScalePoint(const AttributedGraph& graph, int num_events,
           ? static_cast<double>(touched_total) / static_cast<double>(num_events)
           : 0.0;
   return out;
+}
+
+/// Median microseconds of one ScoringEngine::Ingest call over
+/// `num_batches` batches of 16 edge toggles on `graph`. The detector is
+/// training-free: Ingest never calls Score(), so only the engine's
+/// per-batch work is timed.
+double EngineBatchMedianUs(const AttributedGraph& graph, int num_batches,
+                           uint64_t seed) {
+  constexpr int kBatchEvents = 16;
+  serve::ScoringEngine engine(std::make_unique<detectors::Deg>(), graph);
+  VGOD_CHECK(engine.EnableStreaming(serve::StreamingOptions()).ok());
+  VGOD_CHECK(engine.Start().ok());
+
+  Rng rng(seed);
+  const int n = graph.num_nodes();
+  std::map<std::pair<int, int>, bool> edge_state;
+  std::vector<double> batch_us;
+  batch_us.reserve(static_cast<size_t>(num_batches));
+  for (int b = 0; b < num_batches; ++b) {
+    stream::EventBatch batch;
+    for (int e = 0; e < kBatchEvents; ++e) {
+      int u = static_cast<int>(rng.Next() % n);
+      int v = static_cast<int>(rng.Next() % n);
+      if (u == v) v = (v + 1) % n;
+      const std::pair<int, int> key = {std::min(u, v), std::max(u, v)};
+      auto it = edge_state.find(key);
+      const bool present =
+          it != edge_state.end() ? it->second : graph.HasEdge(u, v);
+      batch.events.push_back(present ? stream::GraphEvent::RemoveEdge(u, v)
+                                     : stream::GraphEvent::AddEdge(u, v));
+      edge_state[key] = !present;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    Result<serve::IngestResult> applied = engine.Ingest(batch);
+    batch_us.push_back(std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+    VGOD_CHECK(applied.ok()) << applied.status().ToString();
+  }
+  engine.Shutdown();
+  return PercentileMs(&batch_us, 0.50);
 }
 
 struct DriftResult {
@@ -405,7 +451,8 @@ DriftResult RunDriftPhase(const UnodCase& unod_case, int batches) {
 
 std::string ResultsJson(const UnodCase& unod_case, const MixedResult& mixed,
                         const ScalePoint& small, const ScalePoint& large,
-                        double ratio, const DriftResult* drift) {
+                        double ratio, double engine_ratio,
+                        const DriftResult* drift) {
   std::string out = "{\"benchmark\":\"stream_loadgen\",\"dataset\":";
   obs::AppendJsonString(&out, unod_case.name);
   out.append(",\"mixed\":{\"events\":");
@@ -441,6 +488,8 @@ std::string ResultsJson(const UnodCase& unod_case, const MixedResult& mixed,
   }
   out.append("],\"per_event_us_ratio\":");
   obs::AppendJsonNumber(&out, ratio);
+  out.append(",\"engine_batch_us_ratio\":");
+  obs::AppendJsonNumber(&out, engine_ratio);
   out.append("}");
   if (drift != nullptr) {
     out.append(",\"drift\":{\"scores_recorded\":");
@@ -563,6 +612,30 @@ int Main(int argc, char** argv) {
   RecordManifestResult("synthetic", "stream", "scale.touched_per_event",
                        large.touched_per_event);
 
+  // The same 1x/4x graphs through the whole engine, 16-event batches.
+  const int engine_batches = std::max(16, scale_events / 16);
+  const double engine_small_us =
+      EngineBatchMedianUs(small_graph, engine_batches, EnvSeed() + 5);
+  const double engine_large_us =
+      EngineBatchMedianUs(large_graph, engine_batches, EnvSeed() + 6);
+  const double engine_ratio =
+      engine_small_us > 0.0 ? engine_large_us / engine_small_us : 0.0;
+  std::printf("  engine Ingest, %d batches of 16 toggles (median):\n",
+              engine_batches);
+  std::printf("  %8d nodes  %8.2f us/batch\n", small.num_nodes,
+              engine_small_us);
+  std::printf("  %8d nodes  %8.2f us/batch\n", large.num_nodes,
+              engine_large_us);
+  std::printf("  per-batch engine cost ratio (4x nodes): %.2fx  (O(batch) "
+              "=> ~1, O(V) => ~4)\n",
+              engine_ratio);
+  RecordManifestResult("synthetic", "stream", "scale.engine_batch_us_small",
+                       engine_small_us);
+  RecordManifestResult("synthetic", "stream", "scale.engine_batch_us_large",
+                       engine_large_us);
+  RecordManifestResult("synthetic", "stream", "scale.engine_batch_us_ratio",
+                       engine_ratio);
+
   DriftResult drift;
   if (drift_phase) {
     drift = RunDriftPhase(unod_case, drift_batches);
@@ -594,7 +667,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
       return 1;
     }
-    file << ResultsJson(unod_case, mixed, small, large, ratio,
+    file << ResultsJson(unod_case, mixed, small, large, ratio, engine_ratio,
                         drift_phase ? &drift : nullptr)
          << "\n";
     std::printf("wrote %s\n", json_path.c_str());

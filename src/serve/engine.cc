@@ -158,7 +158,6 @@ ScoringEngine::ScoringEngine(
     : detector_(std::move(detector)),
       boot_graph_(std::make_shared<const AttributedGraph>(std::move(graph))),
       config_(config) {
-  current_graph_ = boot_graph_;
   resident_nodes_.store(boot_graph_->num_nodes(), std::memory_order_relaxed);
   VGOD_CHECK(detector_ != nullptr) << "ScoringEngine needs a detector";
   VGOD_CHECK(config_.intra_op_threads >= 0)
@@ -254,8 +253,11 @@ Result<IngestResult> ScoringEngine::Ingest(const stream::EventBatch& batch,
     Result<int> touched = scorer_->ApplyOne(event);
     if (!touched.ok()) {
       // Embedder failure mid-batch: the store is ahead of the scorer.
-      // Resync before surfacing the error so the two cannot drift.
+      // Resync before surfacing the error so the two cannot drift, and
+      // publish the events already applied as a new version so no table
+      // keyed by the old one scores the changed store.
       VGOD_COUNTER_INC("stream.ingest.rejected");
+      PublishVersionLocked();
       Status rebuilt = scorer_->Rebuild();
       if (!rebuilt.ok()) return rebuilt;
       return touched.status();
@@ -281,18 +283,12 @@ Result<IngestResult> ScoringEngine::Ingest(const stream::EventBatch& batch,
                            result.compact_seconds);
   }
 
-  // Publish the post-batch snapshot (pays the materialization here, on
-  // the ingest request, so readers only ever swap a pointer). The new
-  // version makes the next node read build a fresh score table.
-  std::shared_ptr<const AttributedGraph> snapshot = store_->Snapshot();
-  {
-    std::lock_guard<std::mutex> graph_lock(graph_mu_);
-    current_graph_ = snapshot;
-    ++graph_version_;
-  }
-  resident_nodes_.store(snapshot->num_nodes(), std::memory_order_release);
+  // Publish the post-batch version. No snapshot is built here: the next
+  // node read sees the new version and builds the snapshot and its score
+  // table once, however many batches landed since the last read.
+  PublishVersionLocked();
 
-  result.num_nodes = snapshot->num_nodes();
+  result.num_nodes = store_->num_nodes();
   result.delta_ops = store_->delta_ops();
   result.overlay_edges = store_->overlay_edges();
   result.compactions = store_->compactions();
@@ -358,9 +354,34 @@ bool ScoringEngine::Ready(std::string* reason) const {
   return true;
 }
 
+void ScoringEngine::PublishVersionLocked() {
+  {
+    std::lock_guard<std::mutex> graph_lock(graph_mu_);
+    ++graph_version_;
+  }
+  resident_nodes_.store(store_->num_nodes(), std::memory_order_release);
+}
+
+std::shared_ptr<const AttributedGraph> ScoringEngine::GraphLocked() const {
+  return store_ != nullptr ? store_->Snapshot() : boot_graph_;
+}
+
 std::shared_ptr<const AttributedGraph> ScoringEngine::CurrentGraph() const {
-  std::lock_guard<std::mutex> lock(graph_mu_);
-  return current_graph_;
+  std::lock_guard<std::mutex> stream_lock(stream_mu_);
+  return GraphLocked();
+}
+
+std::vector<int64_t> ScoringEngine::Degrees() const {
+  std::lock_guard<std::mutex> stream_lock(stream_mu_);
+  const bool streaming = store_ != nullptr;
+  std::vector<int64_t> degrees(
+      streaming ? store_->num_nodes() : boot_graph_->num_nodes());
+  for (size_t node = 0; node < degrees.size(); ++node) {
+    const int id = static_cast<int>(node);
+    degrees[node] =
+        streaming ? store_->Degree(id) : boot_graph_->Degree(id);
+  }
+  return degrees;
 }
 
 EngineStats ScoringEngine::stats() const {
@@ -406,10 +427,10 @@ Result<ScoreResult> ScoringEngine::Finish(
 }
 
 Status ScoringEngine::ValidateNodes(const std::vector<int>& nodes) const {
-  // Under streaming the bound is the latest published snapshot's node
+  // Under streaming the bound is the latest published version's node
   // count, which only ever grows — a node valid here stays valid for
-  // whichever (same-or-newer) snapshot's table answers the request.
-  const int resident = resident_nodes_.load(std::memory_order_acquire);
+  // whichever (same-or-newer) version's table answers the request.
+  const int resident = resident_nodes();
   for (int node : nodes) {
     if (node < 0 || node >= resident) {
       VGOD_COUNTER_INC("serve.requests.total");
@@ -438,11 +459,11 @@ Status ScoringEngine::ValidateSubgraph(const AttributedGraph& graph) const {
 }
 
 Result<detectors::DetectorOutput> ScoringEngine::TimedScore(
-    const AttributedGraph& graph, StageTiming* timing) {
-  const auto score_start = std::chrono::steady_clock::now();
+    const AttributedGraph& graph, std::chrono::steady_clock::time_point start,
+    StageTiming* timing) {
   Result<detectors::DetectorOutput> out =
       GuardedScore(*detector_, graph, &timing->tensor_peak_bytes);
-  timing->score_seconds = SecondsSince(score_start);
+  timing->score_seconds = SecondsSince(start);
   VGOD_HISTOGRAM_OBSERVE("serve.score.latency.seconds",
                          timing->score_seconds);
   score_calls_.fetch_add(1, std::memory_order_relaxed);
@@ -452,31 +473,46 @@ Result<detectors::DetectorOutput> ScoringEngine::TimedScore(
 
 ScoringEngine::ScoreTable ScoringEngine::LatestTable(StageTiming* timing) {
   const auto start = std::chrono::steady_clock::now();
-  std::optional<std::promise<Result<detectors::DetectorOutput>>> build;
-  std::shared_ptr<const AttributedGraph> graph;  // Set only for a builder.
-  uint64_t version = 0;
   ScoreTable table;
   {
+    // A hit needs only graph_mu_: the latest version already has a table.
     std::lock_guard<std::mutex> lock(graph_mu_);
-    if (!table_.valid() || table_version_ != graph_version_) {
-      build.emplace();
-      table_ = build->get_future().share();
-      table_version_ = graph_version_;
-      graph = current_graph_;
+    if (table_.valid() && table_version_ == graph_version_) table = table_;
+  }
+  std::optional<std::promise<Result<detectors::DetectorOutput>>> build;
+  std::shared_ptr<const AttributedGraph> graph;  // Set only for a builder.
+  std::chrono::steady_clock::time_point build_start;
+  uint64_t version = 0;
+  if (!table.valid()) {
+    // A miss claims the table under stream_mu_, which holds ingest off,
+    // so the version claimed and the snapshot built are the same one.
+    std::lock_guard<std::mutex> stream_lock(stream_mu_);
+    {
+      std::lock_guard<std::mutex> lock(graph_mu_);
+      if (!table_.valid() || table_version_ != graph_version_) {
+        build.emplace();
+        table_ = build->get_future().share();
+        table_version_ = graph_version_;
+      }
+      version = table_version_;
+      table = table_;
     }
-    version = table_version_;
-    table = table_;
+    if (build) {
+      build_start = std::chrono::steady_clock::now();
+      graph = GraphLocked();
+    }
   }
   if (!build) {
     table.wait();
     timing->queue_wait_seconds = SecondsSince(start);
     return table;
   }
-  Result<detectors::DetectorOutput> built = TimedScore(*graph, timing);
+  Result<detectors::DetectorOutput> built =
+      TimedScore(*graph, build_start, timing);
   graph.reset();
   if (!built.ok()) {
     // Failures are not cached: this build's waiters get the error, and
-    // the next reader of the snapshot tries again.
+    // the next reader of the version tries again.
     std::lock_guard<std::mutex> lock(graph_mu_);
     if (table_version_ == version) table_ = ScoreTable();
   }
@@ -498,7 +534,7 @@ Result<ScoreResult> ScoringEngine::ScoreNodes(std::vector<int> nodes,
   if (!scored.ok()) return Finish(start, scored.status());
   const detectors::DetectorOutput& out = scored.value();
   // Belt-and-braces under streaming: ids were validated against a
-  // snapshot no newer than the one scored, so this cannot fire unless
+  // version no newer than the one scored, so this cannot fire unless
   // that ordering invariant breaks — degrade to a 500, not UB.
   for (int node : nodes) {
     if (static_cast<size_t>(node) >= out.score.size()) {
@@ -530,7 +566,8 @@ Result<ScoreResult> ScoringEngine::ScoreGraph(AttributedGraph graph,
   VGOD_PROFILE_SCOPE("serve/subgraph");
   ScoreResult result;
   result.timing.request_id = request_id != 0 ? request_id : NextRequestId();
-  Result<detectors::DetectorOutput> scored = TimedScore(graph, &result.timing);
+  Result<detectors::DetectorOutput> scored =
+      TimedScore(graph, std::chrono::steady_clock::now(), &result.timing);
   ObserveStages(result.timing);
   if (!scored.ok()) return Finish(start, scored.status());
   detectors::DetectorOutput out = std::move(scored).value();

@@ -42,14 +42,16 @@ struct EngineConfig {
 struct StageTiming {
   uint64_t request_id = 0;
   /// Time spent waiting for a score table another caller was computing
-  /// for the same snapshot (0 for the caller that computes it, ~0 for a
+  /// for the same graph version (0 for the caller that computes it, ~0 for a
   /// table hit).
   double queue_wait_seconds = 0.0;
   /// Always 0. Kept so readers of the stage breakdown keep their field;
   /// the engine no longer assembles batches.
   double batch_assembly_seconds = 0.0;
-  /// The detector Score() call this request ran: the snapshot's table
-  /// build or an inline subgraph. 0 for a table hit or a waiter.
+  /// The table build this request ran (snapshot + Score(): under
+  /// streaming the first reader of a version also materializes its
+  /// graph) or an inline subgraph's Score(). 0 for a table hit or a
+  /// waiter.
   double score_seconds = 0.0;
   /// High-water mark of net tensor allocations on the scoring thread
   /// during that Score() call (0 when the request ran none).
@@ -83,7 +85,7 @@ struct IngestResult {
   int64_t delta_ops = 0;       // Outstanding overlay events post-batch.
   int64_t overlay_edges = 0;
   int64_t compactions = 0;     // Lifetime compaction count.
-  double apply_seconds = 0.0;  // Whole batch: validate+apply+snapshot.
+  double apply_seconds = 0.0;  // Whole batch: validate+apply+compact.
   double compact_seconds = 0.0;
 };
 
@@ -116,10 +118,11 @@ struct EngineStats {
 ///
 /// Two request shapes:
 ///  * node requests — score node ids of the resident graph. A score is a
-///    pure function of (model, snapshot), so the engine keeps one score
-///    table per published snapshot: the first reader of a snapshot runs
-///    the detector's full-graph Score() and every other reader of that
-///    snapshot waits on the same computation, then answers by lookup.
+///    pure function of (model, graph version), so the engine keeps one
+///    score table per published version: the first reader of a version
+///    builds its snapshot and runs the detector's full-graph Score(), and
+///    every other reader of that version waits on the same computation,
+///    then answers by lookup.
 ///  * subgraph requests — score a request-supplied graph (the inductive
 ///    deployment shape), inline on the caller.
 ///
@@ -146,7 +149,7 @@ class ScoringEngine {
   /// is derived from the detector (VBM/VGOD use the fitted Eq. 6
   /// transform; anything else scores raw attributes). Must run before
   /// Start(). After this, Ingest() mutates the resident graph and /score
-  /// requests see the latest published snapshot.
+  /// requests see the latest published version.
   Status EnableStreaming(StreamingOptions options = {});
   bool streaming_enabled() const { return store_ != nullptr; }
   const StreamingOptions& streaming_options() const {
@@ -154,9 +157,11 @@ class ScoringEngine {
   }
 
   /// Applies one pre-parsed event batch: all-or-nothing validation, then
-  /// per-event store+scorer updates, optional compaction, and a
-  /// copy-on-write snapshot swap that in-flight scoring never observes
-  /// half-done. Thread-safe (serialized on the stream mutex).
+  /// per-event store+scorer updates, optional compaction, and a new graph
+  /// version. The batch costs O(events * deg), not O(graph): it builds no
+  /// snapshot (the first reader of the version does), and in-flight
+  /// scoring keeps the immutable snapshot it already holds. Thread-safe
+  /// (serialized on the stream mutex).
   Result<IngestResult> Ingest(const stream::EventBatch& batch,
                               uint64_t request_id = 0);
 
@@ -192,15 +197,27 @@ class ScoringEngine {
   bool Ready(std::string* reason) const;
 
   /// The graph /score currently scores: the boot graph until streaming
-  /// ingest publishes a newer snapshot. Snapshots are immutable; holding
-  /// the returned pointer pins that version, nothing more.
+  /// ingest publishes a newer version. Under streaming this builds the
+  /// version's snapshot when no reader has yet (O(V + E), under the
+  /// stream mutex), so probes that need a count or degrees use
+  /// resident_nodes() and Degrees() instead. Snapshots are immutable;
+  /// holding the returned pointer pins that version, nothing more.
   std::shared_ptr<const AttributedGraph> CurrentGraph() const;
+
+  /// Node count of the latest version, read without a lock or a snapshot.
+  /// Streaming only ever grows it.
+  int resident_nodes() const {
+    return resident_nodes_.load(std::memory_order_acquire);
+  }
+  /// Degree of every node of the latest version, from the store's overlay
+  /// (O(V), no snapshot) or from the boot graph when streaming is off.
+  std::vector<int64_t> Degrees() const;
 
   /// Graceful shutdown: rejects new calls, then waits for the calls in
   /// flight to finish. Idempotent.
   void Shutdown();
 
-  /// Scores node ids of the latest published snapshot (the score table
+  /// Scores node ids of the latest published version (the score table
   /// lookup described above). Fails fast on invalid node ids, a full
   /// in-flight cap, or a stopped engine. `request_id` tags the request's
   /// StageTiming and access-log line; 0 lets the engine assign one
@@ -213,8 +230,9 @@ class ScoringEngine {
 
   const detectors::OutlierDetector& detector() const { return *detector_; }
   /// The boot-time resident graph. Stable for the engine's lifetime even
-  /// under streaming (ingest publishes new snapshots via CurrentGraph();
-  /// it never mutates or retires this one).
+  /// under streaming (ingest publishes new versions, read through
+  /// CurrentGraph(); it never mutates or retires this one). Its
+  /// attribute_dim() is every version's.
   const AttributedGraph& graph() const { return *boot_graph_; }
 
   /// Detector Score() invocations so far (table builds + subgraphs).
@@ -229,9 +247,10 @@ class ScoringEngine {
   EngineStats stats() const;
 
  private:
-  /// The full-graph detector output of one snapshot, shared by every
-  /// reader of that snapshot. Holds score vectors only, never the graph,
-  /// so a superseded snapshot is freed as soon as ingest replaces it.
+  /// The full-graph detector output of one graph version, shared by
+  /// every reader of that version. Holds score vectors only, never the
+  /// graph, so a superseded snapshot is freed by the next ingest (which
+  /// drops the store's cached copy) once its builder is done with it.
   using ScoreTable = std::shared_future<Result<detectors::DetectorOutput>>;
 
   /// Admission for a scoring call: counts it in flight, or rejects it
@@ -245,13 +264,22 @@ class ScoringEngine {
   /// Fast-fail validation; a failure is counted as a rejected request.
   Status ValidateNodes(const std::vector<int>& nodes) const;
   Status ValidateSubgraph(const AttributedGraph& graph) const;
-  /// The score table of the latest published snapshot, built on this
-  /// thread when this call is its first reader and waited on otherwise.
-  /// `timing` receives the wait or Score() time this call paid.
+  /// The score table of the latest version, built on this thread (the
+  /// snapshot, then Score()) when this call is its first reader and
+  /// waited on otherwise. `timing` receives the wait or build time this
+  /// call paid.
   ScoreTable LatestTable(StageTiming* timing);
-  /// Runs one detector Score() under the non-finite guard and times it.
-  Result<detectors::DetectorOutput> TimedScore(const AttributedGraph& graph,
-                                               StageTiming* timing);
+  /// Bumps graph_version_ and publishes the store's node count after a
+  /// batch changed the store. Requires stream_mu_.
+  void PublishVersionLocked();
+  /// The latest version's graph: the store's (cached) snapshot, or the
+  /// boot graph when streaming is off. Requires stream_mu_.
+  std::shared_ptr<const AttributedGraph> GraphLocked() const;
+  /// Runs one detector Score() under the non-finite guard; score_seconds
+  /// is the time since `start`, so a table build counts its snapshot.
+  Result<detectors::DetectorOutput> TimedScore(
+      const AttributedGraph& graph,
+      std::chrono::steady_clock::time_point start, StageTiming* timing);
 
   const std::unique_ptr<detectors::OutlierDetector> detector_;
   const std::shared_ptr<const AttributedGraph> boot_graph_;
@@ -259,8 +287,11 @@ class ScoringEngine {
 
   // --- Streaming state (null/idle when streaming is off) ---
   // Lock order: stream_mu_ may take graph_mu_; graph_mu_ is a leaf.
+  // Ingest, a table builder and CurrentGraph() hold stream_mu_; a table
+  // hit takes graph_mu_ alone.
   StreamingOptions stream_options_;
-  std::mutex stream_mu_;  // Serializes store_/scorer_ access.
+  /// Serializes store_/scorer_ access, snapshot builds included.
+  mutable std::mutex stream_mu_;
   std::unique_ptr<stream::DeltaGraphStore> store_;
   std::optional<stream::OnlineScorer> scorer_;
   /// Watchlist node ids as of the last ingest batch (stream_mu_), the
@@ -269,19 +300,19 @@ class ScoringEngine {
   WatchlistChangeCallback watchlist_callback_;  // Set before Start().
   std::shared_ptr<const obs::ModelFingerprint> fingerprint_;
 
-  // --- Published snapshot and its score table (graph_mu_) ---
+  // --- Published version and its score table (graph_mu_) ---
   mutable std::mutex graph_mu_;
-  std::shared_ptr<const AttributedGraph> current_graph_;
-  /// Bumped by every ingest publish; keys the score table.
+  /// Bumped by every ingest that mutated the store (written with
+  /// stream_mu_ and graph_mu_ held); keys the score table.
   uint64_t graph_version_ = 0;
-  /// The one cached table: `table_` scores snapshot `table_version_`.
+  /// The one cached table: `table_` scores version `table_version_`.
   /// Invalid (no table) until the first read, after a failed build, and
-  /// whenever the reader of a newer snapshot replaces it.
+  /// whenever the reader of a newer version replaces it.
   uint64_t table_version_ = 0;
   ScoreTable table_;
   /// True while a compaction snapshot swap is in flight (readiness gate).
   std::atomic<bool> compacting_{false};
-  /// Monotone node count of the latest published snapshot; ScoreNodes
+  /// Monotone node count of the latest published version; ScoreNodes
   /// validates against this without touching a lock. Safe because
   /// streaming only ever grows the node set.
   std::atomic<int> resident_nodes_{0};

@@ -222,16 +222,6 @@ double MonotonicSeconds() {
       .count();
 }
 
-/// Normalized log2 degree histogram of the served graph snapshot — the
-/// structural-drift input the monitor loop refreshes each tick.
-std::vector<double> SnapshotDegreeHistogram(const AttributedGraph& graph) {
-  std::vector<int64_t> degrees(static_cast<size_t>(graph.num_nodes()));
-  for (int node = 0; node < graph.num_nodes(); ++node) {
-    degrees[static_cast<size_t>(node)] = graph.Degree(node);
-  }
-  return obs::DegreeHistogram(degrees);
-}
-
 /// Cumulative per-type ingest event counts, read from the stream.events.*
 /// counters the ingest path already maintains. Order matches
 /// DriftMonitor::RecordEventCounts documentation.
@@ -441,8 +431,8 @@ void ScoringServer::MonitorTick(double now_seconds) {
   if (engine_->streaming_enabled()) {
     drift_->RecordEventCounts(CumulativeEventCounts());
   }
-  drift_->SetLiveDegreeHistogram(
-      SnapshotDegreeHistogram(*engine_->CurrentGraph()));
+  // Degrees come from the engine's store, so a tick builds no snapshot.
+  drift_->SetLiveDegreeHistogram(obs::DegreeHistogram(engine_->Degrees()));
   drift_->MaybeRotate(now_seconds);
   drift_->EvaluateAndPublish();
 
@@ -530,10 +520,9 @@ void ScoringServer::Dispatch(const HttpRequest& request,
     }
     std::string body = "{\"status\":\"ok\",\"detector\":";
     obs::AppendJsonString(&body, engine_->detector().name());
-    body += ",\"nodes\":" +
-            std::to_string(engine_->CurrentGraph()->num_nodes()) +
+    body += ",\"nodes\":" + std::to_string(engine_->resident_nodes()) +
             ",\"attribute_dim\":" +
-            std::to_string(engine_->CurrentGraph()->attribute_dim()) +
+            std::to_string(engine_->graph().attribute_dim()) +
             ",\"threads\":" + std::to_string(transport_.dispatch_threads) +
             ",\"streaming\":" +
             (engine_->streaming_enabled() ? "true" : "false") + "}";

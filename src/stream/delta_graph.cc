@@ -226,7 +226,7 @@ void DeltaGraphStore::ApplyOne(const GraphEvent& event) {
     }
   }
   ++delta_ops_;
-  dirty_ = true;
+  cached_.reset();
 }
 
 AttributedGraph DeltaGraphStore::Materialize() const {
@@ -265,9 +265,8 @@ AttributedGraph DeltaGraphStore::Materialize() const {
 }
 
 std::shared_ptr<const AttributedGraph> DeltaGraphStore::Snapshot() {
-  if (dirty_) {
+  if (cached_ == nullptr) {
     cached_ = std::make_shared<const AttributedGraph>(Materialize());
-    dirty_ = false;
   }
   return cached_;
 }

@@ -15,17 +15,20 @@ namespace vgod::stream {
 /// Mutable graph store behind the streaming scoring engine: an immutable
 /// base CSR (`shared_ptr<const AttributedGraph>`) plus a per-node delta
 /// overlay — sorted added/removed adjacency lists relative to the base
-/// row, replacement attribute rows, and appended nodes. Mutations never
-/// touch a published AttributedGraph: readers take Snapshot(), which is a
-/// copy-on-write materialization of base+overlay cached until the next
-/// mutation, so in-flight scorers (and the deterministic parallel kernels
-/// under them) always see a fully consistent graph. Compact() promotes
-/// the current snapshot to the new base and clears the overlay, bounding
-/// overlay memory and restoring O(log deg) HasEdge.
+/// row, replacement attribute rows, and appended nodes. Mutations are
+/// O(deg) and never touch a published AttributedGraph. Readers that need
+/// a whole graph take Snapshot(), an O(V + E) materialization of
+/// base+overlay built on demand and cached until the next mutation, so
+/// in-flight scorers (and the deterministic parallel kernels under them)
+/// always see a fully consistent graph. A mutation drops the store's
+/// reference to the cached snapshot, so a superseded graph lives only as
+/// long as a reader still holds it. Compact() promotes the current
+/// snapshot to the new base and clears the overlay, bounding overlay
+/// memory and restoring O(log deg) HasEdge.
 ///
 /// NOT internally synchronized: the owning ScoringEngine serializes every
-/// call behind its stream mutex and publishes snapshots to its scoring
-/// workers (docs/STREAMING.md "Concurrency").
+/// call behind its stream mutex; its first reader of each new version
+/// builds the snapshot (docs/STREAMING.md "Concurrency").
 ///
 /// Materialized snapshots carry attributes only — community/outlier label
 /// vectors are training/eval artifacts with no sizing story for appended
@@ -73,8 +76,10 @@ class DeltaGraphStore {
 
   /// The current graph, materialized base+overlay. Cached: repeated calls
   /// without intervening ApplyOne return the same shared snapshot;
-  /// mutation invalidates the cache and the next call pays one O(V + E)
-  /// rebuild. Returned snapshots are immutable forever.
+  /// ApplyOne drops the cache, and the next call pays one O(V + E)
+  /// rebuild (one "stream/materialize" profiler scope). Nothing else
+  /// builds it: a store that is mutated but never read never pays it.
+  /// Returned snapshots are immutable forever.
   std::shared_ptr<const AttributedGraph> Snapshot();
 
   /// Promotes Snapshot() to the new base and clears the overlay.
@@ -103,8 +108,8 @@ class DeltaGraphStore {
   /// Attribute rows of appended nodes (node id = base nodes + index).
   std::vector<std::vector<float>> new_rows_;
 
+  /// The materialized current graph; null when a mutation superseded it.
   std::shared_ptr<const AttributedGraph> cached_;
-  bool dirty_ = false;
   int64_t delta_ops_ = 0;
   int64_t overlay_edges_ = 0;
   int64_t compactions_ = 0;

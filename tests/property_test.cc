@@ -154,9 +154,13 @@ INSTANTIATE_TEST_SUITE_P(
                       InjectionGridCase{5, 4, 20},
                       InjectionGridCase{1, 25, 2}),
     [](const ::testing::TestParamInfo<InjectionGridCase>& param_info) {
-      return "p" + std::to_string(param_info.param.num_cliques) + "q" +
-             std::to_string(param_info.param.clique_size) + "k" +
-             std::to_string(param_info.param.candidate_set);
+      std::string name = "p";
+      name += std::to_string(param_info.param.num_cliques);
+      name += "q";
+      name += std::to_string(param_info.param.clique_size);
+      name += "k";
+      name += std::to_string(param_info.param.candidate_set);
+      return name;
     });
 
 // --- AUC properties on random score vectors ---

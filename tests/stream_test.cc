@@ -20,6 +20,7 @@
 #include "detectors/vbm.h"
 #include "graph/graph.h"
 #include "graph/graph_ops.h"
+#include "obs/profile.h"
 #include "serve/engine.h"
 #include "stream/delta_graph.h"
 #include "stream/events.h"
@@ -467,6 +468,146 @@ TEST(EngineStreamingTest, ScoreTableFollowsSnapshots) {
   EXPECT_TRUE(superseded.expired());
   ASSERT_TRUE(engine->ScoreNodes({0}).ok());
   EXPECT_EQ(engine->score_calls(), 3);
+  engine->Shutdown();
+}
+
+/// Calls of every "stream/materialize" scope in the profile, wherever it
+/// nests (under an ingest's compaction or under a read).
+int64_t MaterializeCalls(const obs::ProfileNode& node) {
+  int64_t calls = node.name == "stream/materialize" ? node.calls : 0;
+  for (const obs::ProfileNode& child : node.children) {
+    calls += MaterializeCalls(child);
+  }
+  return calls;
+}
+
+/// One batch toggling `edges` (add when absent from `store`, else remove)
+/// plus an attribute rewrite of node 1, applied to `store` as the replay.
+EventBatch ToggleBatch(DeltaGraphStore* store,
+                       const std::vector<std::pair<int, int>>& edges,
+                       float value) {
+  EventBatch batch;
+  for (const auto& [u, v] : edges) {
+    batch.events.push_back(store->HasEdge(u, v) ? GraphEvent::RemoveEdge(u, v)
+                                                : GraphEvent::AddEdge(u, v));
+  }
+  batch.events.push_back(GraphEvent::UpdateAttributes(
+      1, std::vector<float>(store->attribute_dim(), value)));
+  VGOD_CHECK(store->ValidateBatch(batch.events).ok());
+  for (const GraphEvent& event : batch.events) store->ApplyOne(event);
+  return batch;
+}
+
+TEST(EngineStreamingTest, IngestBuildsNoSnapshotUntilARead) {
+  AttributedGraph graph = StreamTestGraph(50, 43, 12);
+  const int n = graph.num_nodes();
+  std::unique_ptr<serve::ScoringEngine> engine = StreamingEngine(graph);
+  DeltaGraphStore replay(graph);
+  std::vector<int> all(n);
+  for (int node = 0; node < n; ++node) all[node] = node;
+
+  obs::SetProfileEnabled(true);
+  obs::ClearProfile();
+  constexpr int kBatches = 5;
+  for (int b = 0; b < kBatches; ++b) {
+    const EventBatch batch = ToggleBatch(
+        &replay, {{b, b + 7}, {b + 2, b + 20}}, 0.1f * static_cast<float>(b));
+    Result<serve::IngestResult> applied = engine->Ingest(batch);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    ASSERT_FALSE(applied.value().compacted);
+  }
+  EXPECT_EQ(MaterializeCalls(obs::SnapshotProfile()), 0);
+
+  // The first read builds the latest version's snapshot once, and its
+  // scores equal Score() of the replayed store bit for bit.
+  Result<serve::ScoreResult> scored = engine->ScoreNodes(all);
+  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+  EXPECT_EQ(MaterializeCalls(obs::SnapshotProfile()), 1);
+  const detectors::DetectorOutput expected =
+      engine->detector().Score(*replay.Snapshot());
+  ASSERT_EQ(expected.score.size(), static_cast<size_t>(n));
+  for (int node = 0; node < n; ++node) {
+    EXPECT_EQ(scored.value().score[node], expected.score[node]) << node;
+  }
+
+  // Later reads of that version, and CurrentGraph(), reuse the snapshot.
+  obs::ClearProfile();
+  ASSERT_TRUE(engine->ScoreNodes({0, 1}).ok());
+  EXPECT_EQ(engine->CurrentGraph()->num_nodes(), n);
+  EXPECT_EQ(MaterializeCalls(obs::SnapshotProfile()), 0);
+
+  // Only a batch that compacts materializes inside Ingest.
+  EventBatch compact = ToggleBatch(&replay, {{9, 30}}, 0.9f);
+  compact.compact = true;
+  ASSERT_TRUE(engine->Ingest(compact).ok());
+  EXPECT_EQ(MaterializeCalls(obs::SnapshotProfile()), 1);
+  obs::SetProfileEnabled(false);
+  engine->Shutdown();
+}
+
+TEST(EngineStreamingTest, CurrentGraphReflectsEachBatch) {
+  AttributedGraph graph = StreamTestGraph(50, 47, 12);
+  const int n = graph.num_nodes();
+  std::unique_ptr<serve::ScoringEngine> engine = StreamingEngine(graph);
+  int absent_v = 2;
+  while (graph.HasEdge(0, absent_v)) absent_v = (absent_v + 1) % n;
+  const int present_v = graph.Neighbors(3).front();
+  const std::vector<float> row(graph.attribute_dim(), 0.25f);
+
+  EventBatch first;
+  first.events.push_back(GraphEvent::AddEdge(0, absent_v));
+  first.events.push_back(GraphEvent::AddNode(row));
+  first.events.push_back(GraphEvent::AddEdge(n, 0));
+  ASSERT_TRUE(engine->Ingest(first).ok());
+  std::shared_ptr<const AttributedGraph> current = engine->CurrentGraph();
+  EXPECT_EQ(current->num_nodes(), n + 1);
+  EXPECT_EQ(engine->resident_nodes(), n + 1);
+  EXPECT_TRUE(current->HasEdge(0, absent_v));
+  EXPECT_TRUE(current->HasEdge(n, 0));
+  EXPECT_EQ(current->attributes().RowToVector(n), row);
+  EXPECT_EQ(current->num_directed_edges(), graph.num_directed_edges() + 4);
+
+  EventBatch second;
+  second.events.push_back(GraphEvent::RemoveEdge(3, present_v));
+  ASSERT_TRUE(engine->Ingest(second).ok());
+  current = engine->CurrentGraph();
+  EXPECT_FALSE(current->HasEdge(3, present_v));
+  EXPECT_FALSE(current->HasEdge(present_v, 3));
+  EXPECT_EQ(current->num_directed_edges(), graph.num_directed_edges() + 2);
+  const std::vector<int64_t> degrees = engine->Degrees();
+  ASSERT_EQ(degrees.size(), static_cast<size_t>(n + 1));
+  for (int node = 0; node <= n; ++node) {
+    EXPECT_EQ(degrees[node], current->Degree(node)) << node;
+  }
+  engine->Shutdown();
+}
+
+TEST(EngineStreamingTest, ReadAfterAppendScoresNewNodes) {
+  AttributedGraph graph = StreamTestGraph(50, 53, 12);
+  const int n = graph.num_nodes();
+  std::unique_ptr<serve::ScoringEngine> engine = StreamingEngine(graph);
+  // A table for the boot version exists before the append.
+  ASSERT_TRUE(engine->ScoreNodes({0}).ok());
+
+  EventBatch append;
+  append.events.push_back(
+      GraphEvent::AddNode(std::vector<float>(graph.attribute_dim(), 0.5f)));
+  append.events.push_back(
+      GraphEvent::AddNode(std::vector<float>(graph.attribute_dim(), -0.5f)));
+  append.events.push_back(GraphEvent::AddEdge(n, 4));
+  append.events.push_back(GraphEvent::AddEdge(n + 1, 5));
+  ASSERT_TRUE(engine->Ingest(append).ok());
+  EXPECT_EQ(engine->resident_nodes(), n + 2);
+
+  Result<serve::ScoreResult> scored = engine->ScoreNodes({n, n + 1, 4});
+  ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+  const detectors::DetectorOutput expected =
+      engine->detector().Score(*engine->CurrentGraph());
+  ASSERT_EQ(expected.score.size(), static_cast<size_t>(n + 2));
+  EXPECT_EQ(scored.value().score[0], expected.score[n]);
+  EXPECT_EQ(scored.value().score[1], expected.score[n + 1]);
+  EXPECT_EQ(scored.value().score[2], expected.score[4]);
+  EXPECT_FALSE(engine->ScoreNodes({n + 2}).ok());
   engine->Shutdown();
 }
 

@@ -66,6 +66,12 @@ def check_valid_batches(port, dim, boot_nodes):
     check(reply.get("num_nodes") == boot_nodes + 2,
           f"num_nodes is {reply.get('num_nodes')}, want {boot_nodes + 2}")
     check(reply.get("request_id", 0) > 0, "/ingest response lacks request_id")
+    # /healthz reads the engine's published node count, so it follows the
+    # append before any read has built a snapshot of the new version.
+    status, health = http(port, "GET", "/healthz")
+    check(status == 200 and health.get("nodes") == boot_nodes + 2,
+          f"/healthz nodes is {health and health.get('nodes')} after the "
+          f"append, want {boot_nodes + 2}")
     a, b = boot_nodes, boot_nodes + 1
 
     # Edge insert between the two fresh nodes (guaranteed absent), then

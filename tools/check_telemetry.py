@@ -5,8 +5,10 @@ Drives vgod_cli over a tiny synthetic graph and checks that the three
 export formats are well-formed and mutually consistent:
 
   * --telemetry_out JSONL: one object per epoch with the schema documented
-    in docs/OBSERVABILITY.md, epochs numbered 1..N, and loss values that
-    match the VGOD_LOG_LEVEL=debug stderr training log line by line.
+    in docs/OBSERVABILITY.md, epochs numbered 1..N within each consecutive
+    run of one detector (N = that run's planned_epochs; VGOD logs VBM's
+    run, then ARM's), and loss values that match the VGOD_LOG_LEVEL=debug
+    stderr training log line by line.
   * --metrics_out JSON: counters/gauges/histograms envelope; the matmul
     counters must have moved during training.
   * --trace_out Chrome trace JSON: a traceEvents array of complete ("X")
@@ -19,6 +21,7 @@ or via ctest (registered as check_telemetry).
 """
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -85,9 +88,19 @@ def validate_telemetry(path, stderr_log):
                       f"{value!r}")
         records.append(record)
 
-    epochs = [r.get("epoch") for r in records]
-    check(epochs == list(range(1, len(records) + 1)),
-          f"epochs are not 1..N: {epochs}")
+    # A composite detector (VGOD) trains its parts one after another, and
+    # each part numbers its epochs from 1: every consecutive run of one
+    # detector must be exactly 1..N, N being that run's planned_epochs.
+    for detector, run_records in itertools.groupby(
+            records, key=lambda r: r.get("detector")):
+        run_records = list(run_records)
+        epochs = [r.get("epoch") for r in run_records]
+        check(epochs == list(range(1, len(run_records) + 1)),
+              f"{detector} epochs are not 1..N: {epochs}")
+        planned = {r.get("planned_epochs") for r in run_records}
+        check(planned == {len(run_records)},
+              f"{detector} ran {len(run_records)} epochs, planned_epochs "
+              f"says {sorted(planned, key=str)}")
     for r in records:
         check(r.get("seconds", -1.0) >= 0.0, "negative epoch seconds")
         check(r.get("peak_tensor_bytes", -1) >= 0, "negative peak bytes")
